@@ -39,6 +39,7 @@ from .equilibrium import (
 from .errors import (
     DegenerateModel,
     EmptyInput,
+    ExactnessCheckFailed,
     InvalidEnsembleSize,
     InvalidLength,
     InvalidShift,
@@ -68,6 +69,7 @@ __all__ = [
     "EmptyInput",
     "Ensemble",
     "EquilibriumModel",
+    "ExactnessCheckFailed",
     "Histogram",
     "InvalidEnsembleSize",
     "InvalidLength",

@@ -113,7 +113,7 @@ def _analysis_json(config: AnalysisConfig, result: AnalysisResult) -> str:
     }
     if len(config.inputs) == 2:
         doc["pair_input"] = config.inputs[1]
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 _HUMAN_ROWS = (

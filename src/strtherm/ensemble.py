@@ -8,18 +8,32 @@ extensions of two source strings with one of them rotated (pair mode).
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from math import lcm
 
 from .bitstring import BitString
-from .errors import InvalidEnsembleSize, PairTooLarge
+from .errors import ExactnessCheckFailed, InvalidEnsembleSize, PairTooLarge
 
 SELF_MODE = "self"
 PAIR_MODE = "pair"
 
 # cap on the lcm extension of a pair; coprime lengths can explode it
 DEFAULT_PAIR_CAP_BITS = 1 << 26
+
+# exact integer arithmetic on decimals of any length; libmpdec multiplies
+# long operands with a number-theoretic transform
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+# a correlation must fit one 8-digit slot
+_MAX_SLOT_VALUE = 10**8
+
+# the product pays off above this many shifts per slot digit per bit of
+# the length; the measured crossover was 31-65 (L = 2**11..2**20, CPython
+# 3.11, 2-core Intel Xeon VM)
+_PRODUCT_SHIFTS = 50
 
 
 @dataclass(frozen=True)
@@ -65,22 +79,7 @@ def build_self_ensemble(b: BitString, n_shifts: int) -> Ensemble:
         raise InvalidEnsembleSize(
             f"ensemble size must be in [1, {m}], got {n_shifts}"
         )
-    value = b.value
-    mask = (1 << m) - 1
-    vals = [0] * n_shifts
-    if n_shifts == m:
-        # shifting by n and by m-n mismatches the same bit pairs, so only
-        # half the shifts need the kernel
-        for n in range(1, m // 2 + 1):
-            rot = ((value << n) | (value >> (m - n))) & mask
-            d = (value ^ rot).bit_count()
-            vals[n] = d
-            vals[m - n] = d
-    else:
-        for n in range(1, n_shifts):
-            rot = ((value << n) | (value >> (m - n))) & mask
-            vals[n] = (value ^ rot).bit_count()
-    return Ensemble(tuple(vals), m, SELF_MODE, 2 * min(b.ones, m - b.ones))
+    return _build(b, b, m, n_shifts, SELF_MODE)
 
 
 def build_pair_ensemble(
@@ -105,25 +104,136 @@ def build_pair_ensemble(
         raise InvalidEnsembleSize(
             f"ensemble size must be in [1, {length}], got {n_shifts}"
         )
-    a_ext = _tile(a, length)
-    b_ext = _tile(b, length)
-    mask = (1 << length) - 1
-    vals = [0] * n_shifts
-    for n in range(n_shifts):
-        # rotating the extension by n equals extending b rotated by n,
-        # because b.nbits divides the extension length
-        rot = ((b_ext << n) | (b_ext >> (length - n))) & mask if n else b_ext
-        vals[n] = (a_ext ^ rot).bit_count()
+    return _build(a, b, length, n_shifts, PAIR_MODE)
+
+
+def _build(
+    a: BitString, b: BitString, length: int, n_shifts: int, mode: str
+) -> Ensemble:
+    """Observations 0..n_shifts-1 between the ``length``-bit extensions of
+    ``a`` and of ``b`` advanced by n bits; self mode passes one string twice.
+
+    Observation n is ``ones_a + ones_b - 2*C(n)``, where ``C(n) = sum_i
+    a_i * b_(i+n mod length)`` is the cyclic cross-correlation of the
+    extensions.
+    """
     ones_a = a.ones * (length // a.nbits)
     ones_b = b.ones * (length // b.nbits)
     max_distance = min(ones_a + ones_b, 2 * length - ones_a - ones_b)
-    return Ensemble(tuple(vals), length, PAIR_MODE, max_distance)
+    if _use_product(n_shifts, length):
+        vals = _product_distances(_bits(a, length), _bits(b, length), ones_a + ones_b)
+        _check_exact(vals, length, ones_a, ones_b, max_distance)
+        vals = vals[:n_shifts]
+    else:
+        vals = _shift_distances(_tile(a, length), _tile(b, length), length, n_shifts)
+    return Ensemble(vals, length, mode, max_distance)
+
+
+def _use_product(n_shifts: int, length: int) -> bool:
+    """True when one exact product is cheaper than ``n_shifts`` rotations.
+
+    A rotation costs O(length); the product costs O(D log D) in its D =
+    w*length digits.  The crossover is therefore a fixed number of shifts
+    per digit slot and bit of ``length``.
+    """
+    return (
+        length < _MAX_SLOT_VALUE
+        and n_shifts > _PRODUCT_SHIFTS * _slot_width(length) * length.bit_length()
+    )
+
+
+def _shift_distances(
+    a_ext: int, b_ext: int, length: int, n_shifts: int
+) -> tuple[int, ...]:
+    """One XOR and popcount per shift: O(n_shifts * length)."""
+    mask = (1 << length) - 1
+    # rotating the extension by n equals extending b rotated by n,
+    # because b.nbits divides the extension length
+    return tuple(
+        (a_ext ^ (((b_ext << n) | (b_ext >> (length - n))) & mask)).bit_count()
+        for n in range(n_shifts)
+    )
 
 
 def _tile(b: BitString, length: int) -> int:
     """Integer value of ``b`` repeated out to ``length`` bits."""
+    if length == b.nbits:
+        return b.value
     # multiplying by the comb 0b0..010..010..01 places one copy per period
     return b.value * (((1 << length) - 1) // ((1 << b.nbits) - 1))
+
+
+def _bits(b: BitString, length: int) -> bytes:
+    """ASCII '0'/'1' reading-order bits of ``b`` repeated out to ``length``."""
+    return b.to_bits().encode() * (length // b.nbits)
+
+
+def _slot_width(length: int) -> int:
+    """Decimal digits per bit slot: enough for any correlation C(n) <= length,
+    and a width memoryview can cast ('I' or 'Q')."""
+    return 4 if length < 10**4 else 8
+
+
+def _slots(bits: bytes, width: int) -> Decimal:
+    """The integer whose ``width``-digit slots hold ``bits``, first bit highest."""
+    buf = bytearray(b"0" * (width * len(bits)))
+    buf[width - 1 :: width] = bits
+    return Decimal(buf.decode())
+
+
+class _DistanceTable(dict):
+    """Slot code -> distance, each distinct code parsed once on first sight."""
+
+    def __init__(self, total_ones: int, width: int):
+        super().__init__()
+        self.total_ones = total_ones
+        self.width = width
+
+    def __missing__(self, code: int) -> int:
+        digits = code.to_bytes(self.width, sys.byteorder)
+        d = self[code] = self.total_ones - 2 * int(digits)
+        return d
+
+
+def _product_distances(a_bits: bytes, b_bits: bytes, total_ones: int) -> tuple[int, ...]:
+    """All distances d(0..L-1) from one exact product (Kronecker substitution).
+
+    With x = 10**w, P = sum_i a_i x**i holds ``a`` reversed and
+    Q = sum_j b_j x**(L-1-j) holds ``b`` in reading order.  Term a_i*b_j
+    lands in slot L-1+i-j, and folding slots L..2L-1 onto 0..L-1 (x**L = 1
+    modulo x**L - 1) leaves C(n) in slot L-1-n: the n-th slot of the
+    folded digit string, read from the left.  No slot exceeds L < x, so
+    nothing carries between slots.
+    """
+    length = len(a_bits)
+    width = _slot_width(length)
+    digits = width * length
+    prod = _EXACT.multiply(_slots(a_bits[::-1], width), _slots(b_bits, width))
+    high = _EXACT.shift(prod, -digits)
+    folded = _EXACT.add(high, _EXACT.subtract(prod, _EXACT.shift(high, digits)))
+    codes = memoryview(str(folded).zfill(digits).encode()).cast(
+        "I" if width == 4 else "Q"
+    )
+    return tuple(map(_DistanceTable(total_ones, width).__getitem__, codes))
+
+
+def _check_exact(
+    vals: tuple[int, ...], length: int, ones_a: int, ones_b: int, max_distance: int
+) -> None:
+    """Raise unless a full ensemble meets its exact integer identities."""
+    problems = []
+    expected_sum = length * (ones_a + ones_b) - 2 * ones_a * ones_b
+    if sum(vals) != expected_sum:
+        problems.append(f"sum of distances {sum(vals)} != {expected_sum}")
+    distinct = set(vals)
+    if min(distinct) < 0 or max(distinct) > max_distance:
+        problems.append(f"distances outside [0, {max_distance}]")
+    if any((d - ones_a - ones_b) % 2 for d in distinct):
+        problems.append(f"distances of parity other than {(ones_a + ones_b) % 2}")
+    if problems:
+        raise ExactnessCheckFailed(
+            f"{length}-bit ensemble failed its exactness check: " + "; ".join(problems)
+        )
 
 
 def histogram(e: Ensemble) -> Histogram:
@@ -172,4 +282,4 @@ def histogram_to_csv(h: Histogram) -> str:
 
 def histogram_to_json(h: Histogram) -> str:
     """JSON array of {"c": distance, "n": count} objects."""
-    return json.dumps([{"c": c, "n": n} for c, n in h.entries])
+    return json.dumps([{"c": c, "n": n} for c, n in h.entries], allow_nan=False)

@@ -31,3 +31,7 @@ class PairTooLarge(StrthermError):
 
 class DegenerateModel(StrthermError):
     """Raised when an operation needs a non-degenerate equilibrium model."""
+
+
+class ExactnessCheckFailed(StrthermError):
+    """Raised when a computed ensemble breaks one of its exact integer identities."""

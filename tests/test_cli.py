@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -77,6 +78,19 @@ class TestAnalyze:
         assert doc["full_ensemble"] is True
         assert doc["report"]["u_bar"] == pytest.approx(0.5)
         assert doc["report"]["t"] == pytest.approx(0.25)
+
+    def test_nan_report_is_not_printed(self, crafted_file, monkeypatch, capsys):
+        build = st.thermo.build_report
+        monkeypatch.setattr(
+            st.thermo,
+            "build_report",
+            lambda h, m: dataclasses.replace(build(h, m), temperature=float("nan")),
+        )
+        rc = main(["analyze", crafted_file, "--bits", "4", "--format", "json"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
     def test_all_zero_degenerate_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "z.bin"

@@ -1,11 +1,23 @@
 import json
 import random
+from math import lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strtherm.bitstring import from_bits, random_bitstring, shift_xor_distance
+from strtherm import ensemble
+from strtherm.bitstring import (
+    LSB_FIRST,
+    MSB_FIRST,
+    from_bits,
+    from_bytes,
+    random_bitstring,
+    shift_xor_distance,
+    truncate,
+)
+from strtherm.cli import main
 from strtherm.ensemble import (
     Ensemble,
     Histogram,
@@ -17,7 +29,7 @@ from strtherm.ensemble import (
     histogram_to_json,
     without_self_match,
 )
-from strtherm.errors import InvalidEnsembleSize, PairTooLarge
+from strtherm.errors import ExactnessCheckFailed, InvalidEnsembleSize, PairTooLarge
 
 
 class TestSelfEnsemble:
@@ -219,3 +231,181 @@ class TestSerialization:
             {"c": 2, "n": 2},
             {"c": 4, "n": 1},
         ]
+
+    def test_json_rejects_nan(self):
+        h = Histogram(((float("nan"), 1),), 1, 4, 4)
+        with pytest.raises(ValueError):
+            histogram_to_json(h)
+
+
+def naive_distances(a: str, b: str, shifts) -> list[int]:
+    """Per-bit oracle: bit i of a's extension against bit i+n of b's."""
+    length = lcm(len(a), len(b))
+    return [
+        sum(a[i % len(a)] != b[(i + n) % len(b)] for i in range(length))
+        for n in shifts
+    ]
+
+
+def bit_strings(length):
+    return st.text(alphabet="01", min_size=length, max_size=length)
+
+
+# _PRODUCT_SHIFTS values that force one kernel for every ensemble size
+KERNELS = pytest.mark.parametrize(
+    "product_shifts", [0, 10**9], ids=["product", "loop"]
+)
+
+
+def forced(product_shifts):
+    return mock.patch.object(ensemble, "_PRODUCT_SHIFTS", product_shifts)
+
+
+def full_sum(length, ones_a, ones_b):
+    return length * (ones_a + ones_b) - 2 * ones_a * ones_b
+
+
+class TestKernelEquivalence:
+    @KERNELS
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100).flatmap(lambda k: bit_strings(2 * k + 1)))
+    def test_self_odd_lengths(self, product_shifts, bits):
+        with forced(product_shifts):
+            e = build_self_ensemble(from_bits(bits), len(bits))
+        assert list(e.values) == naive_distances(bits, bits, range(len(bits)))
+
+    @KERNELS
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.binary(min_size=1, max_size=24),
+        st.sampled_from([MSB_FIRST, LSB_FIRST]),
+        st.data(),
+    )
+    def test_bit_orders_and_truncation(self, product_shifts, data, order, draw):
+        cut = draw.draw(st.integers(1, 8 * len(data)), label="bits")
+        step = 1 if order == MSB_FIRST else -1
+        bits = "".join(f"{byte:08b}"[::step] for byte in data)[:cut]
+        with forced(product_shifts):
+            e = build_self_ensemble(truncate(from_bytes(data, order), cut), cut)
+        assert list(e.values) == naive_distances(bits, bits, range(cut))
+
+    @pytest.mark.parametrize("length", [9999, 10000, 10001])
+    @settings(max_examples=4, deadline=None)
+    @given(
+        st.sampled_from([0.5, 0.02, 0.98]),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 10000), max_size=6),
+    )
+    def test_slot_width_boundary(self, length, p, seed, shifts):
+        assert ensemble._use_product(length, length)
+        b = random_bitstring(length, p, seed)
+        e = build_self_ensemble(b, length)
+        bits = b.to_bits()
+        shifts = [0, 1, length - 1] + [n % length for n in shifts]
+        assert [e.values[n] for n in shifts] == naive_distances(bits, bits, shifts)
+        assert sum(e.values) == full_sum(length, b.ones, b.ones)
+
+    @pytest.mark.parametrize("length", [9999, 10000, 10001])
+    def test_slot_width_boundary_full_slots(self, length):
+        # every correlation is L or L-1, the widest value a slot must hold
+        assert build_self_ensemble(from_bits("1" * length), length).values == (
+            (0,) * length
+        )
+        one_zero = build_self_ensemble(from_bits("1" * (length - 1) + "0"), length)
+        assert one_zero.values == (0,) + (2,) * (length - 1)
+
+    @KERNELS
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(1, 100).flatmap(bit_strings),
+        st.integers(1, 100).flatmap(bit_strings),
+        st.lists(st.integers(0, 10**4), max_size=6),
+    )
+    def test_pair_large_lcm(self, product_shifts, a, b, shifts):
+        length = lcm(len(a), len(b))
+        with forced(product_shifts):
+            e = build_pair_ensemble(from_bits(a), from_bits(b), length)
+        shifts = [0, length - 1] + [n % length for n in shifts]
+        assert [e.values[n] for n in shifts] == naive_distances(a, b, shifts)
+        ones_a = a.count("1") * (length // len(a))
+        ones_b = b.count("1") * (length // len(b))
+        assert sum(e.values) == full_sum(length, ones_a, ones_b)
+
+    @pytest.mark.parametrize("mode", ["self", "pair"])
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 10**4), max_size=6))
+    def test_dispatch_switch(self, mode, seed, shifts):
+        if mode == "self":
+            a = b = random_bitstring(8192, 0.5, seed)
+            length = 8192
+        else:
+            a = random_bitstring(64, 0.5, seed)
+            b = random_bitstring(127, 0.5, seed + 1)
+            length = 64 * 127
+        width = ensemble._slot_width(length)
+        switch = ensemble._PRODUCT_SHIFTS * width * length.bit_length()
+        runs = {}
+        for n in (switch - 1, switch, switch + 1):
+            with mock.patch.object(
+                ensemble, "_product_distances", wraps=ensemble._product_distances
+            ) as product:
+                if mode == "self":
+                    runs[n] = build_self_ensemble(a, n).values
+                else:
+                    runs[n] = build_pair_ensemble(a, b, n).values
+            assert product.called == (n > switch)
+        # the loop runs below and at the switch, the product above it
+        assert runs[switch + 1][:switch] == runs[switch]
+        assert runs[switch][: switch - 1] == runs[switch - 1]
+        shifts = [0, switch] + [n % (switch + 1) for n in shifts]
+        assert [runs[switch + 1][n] for n in shifts] == naive_distances(
+            a.to_bits(), b.to_bits(), shifts
+        )
+
+
+def _corrupt(kind):
+    def corrupt(vals):
+        vals = list(vals)
+        if kind == "sum":
+            vals[1] += 2
+        elif kind == "parity":
+            vals[1] += 1
+            vals[2] -= 1
+        else:
+            step = vals[1] + 2
+            vals[1] -= step
+            vals[2] += step
+        return tuple(vals)
+
+    return corrupt
+
+
+class TestExactnessCheck:
+    @pytest.mark.parametrize(
+        "kind, problem",
+        [("sum", "sum of distances"), ("parity", "parity"), ("range", "outside")],
+    )
+    def test_corrupted_decode_raises(self, kind, problem, monkeypatch):
+        decode = ensemble._product_distances
+        monkeypatch.setattr(
+            ensemble,
+            "_product_distances",
+            lambda *args: _corrupt(kind)(decode(*args)),
+        )
+        b = random_bitstring(8192, 0.5, 9)
+        with pytest.raises(ExactnessCheckFailed, match=problem):
+            build_self_ensemble(b, b.nbits)
+
+    def test_corrupted_decode_exits_two(self, monkeypatch, tmp_path, capsys):
+        decode = ensemble._product_distances
+        monkeypatch.setattr(
+            ensemble,
+            "_product_distances",
+            lambda *args: _corrupt("sum")(decode(*args)),
+        )
+        path = tmp_path / "r.bin"
+        path.write_bytes(random.Random(1).randbytes(1024))
+        assert main(["analyze", str(path), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exactness check" in captured.err
