@@ -27,12 +27,9 @@ DEFAULT_PAIR_CAP_BITS = 1 << 26
 # long operands with a number-theoretic transform
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-# a correlation must fit one 8-digit slot
-_MAX_SLOT_VALUE = 10**8
-
 # the product pays off above this many shifts per slot digit per bit of
-# the length; the measured crossover was 31-65 (L = 2**11..2**20, CPython
-# 3.11, 2-core Intel Xeon VM)
+# the length; the measured crossover was 25-72 at slot widths 3 and 5 and
+# 31-65 at 4 and 8 (L = 2**11..2**20, CPython 3.11, 2-core Intel Xeon VM)
 _PRODUCT_SHIFTS = 50
 
 
@@ -120,8 +117,12 @@ def _build(
     ones_a = a.ones * (length // a.nbits)
     ones_b = b.ones * (length // b.nbits)
     max_distance = min(ones_a + ones_b, 2 * length - ones_a - ones_b)
-    if _use_product(n_shifts, length):
-        vals = _product_distances(_bits(a, length), _bits(b, length), ones_a + ones_b)
+    # no correlation exceeds the smaller set-bit count
+    width = len(str(min(ones_a, ones_b)))
+    if _use_product(n_shifts, length, width):
+        vals = _product_distances(
+            _bits(a, length), _bits(b, length), ones_a + ones_b, width
+        )
         _check_exact(vals, length, ones_a, ones_b, max_distance)
         vals = vals[:n_shifts]
     else:
@@ -129,17 +130,16 @@ def _build(
     return Ensemble(vals, length, mode, max_distance)
 
 
-def _use_product(n_shifts: int, length: int) -> bool:
-    """True when one exact product is cheaper than ``n_shifts`` rotations.
+def _use_product(n_shifts: int, length: int, width: int) -> bool:
+    """True when one exact product with ``width``-digit slots is cheaper
+    than ``n_shifts`` rotations.
 
     A rotation costs O(length); the product costs O(D log D) in its D =
-    w*length digits.  The crossover is therefore a fixed number of shifts
-    per digit slot and bit of ``length``.
+    width*length digits.  The crossover is therefore a fixed number of
+    shifts per digit slot and bit of ``length``.  The decode reads at
+    most 8 digits per slot.
     """
-    return (
-        length < _MAX_SLOT_VALUE
-        and n_shifts > _PRODUCT_SHIFTS * _slot_width(length) * length.bit_length()
-    )
+    return width <= 8 and n_shifts > _PRODUCT_SHIFTS * width * length.bit_length()
 
 
 def _shift_distances(
@@ -168,12 +168,6 @@ def _bits(b: BitString, length: int) -> bytes:
     return b.to_bits().encode() * (length // b.nbits)
 
 
-def _slot_width(length: int) -> int:
-    """Decimal digits per bit slot: enough for any correlation C(n) <= length,
-    and a width memoryview can cast ('I' or 'Q')."""
-    return 4 if length < 10**4 else 8
-
-
 def _slots(bits: bytes, width: int) -> Decimal:
     """The integer whose ``width``-digit slots hold ``bits``, first bit highest."""
     buf = bytearray(b"0" * (width * len(bits)))
@@ -182,39 +176,47 @@ def _slots(bits: bytes, width: int) -> Decimal:
 
 
 class _DistanceTable(dict):
-    """Slot code -> distance, each distinct code parsed once on first sight."""
+    """Cell code -> distance, each distinct code parsed once on first sight."""
 
-    def __init__(self, total_ones: int, width: int):
+    def __init__(self, total_ones: int, cell: int):
         super().__init__()
         self.total_ones = total_ones
-        self.width = width
+        self.cell = cell
 
     def __missing__(self, code: int) -> int:
-        digits = code.to_bytes(self.width, sys.byteorder)
+        digits = code.to_bytes(self.cell, sys.byteorder)
         d = self[code] = self.total_ones - 2 * int(digits)
         return d
 
 
-def _product_distances(a_bits: bytes, b_bits: bytes, total_ones: int) -> tuple[int, ...]:
+def _product_distances(
+    a_bits: bytes, b_bits: bytes, total_ones: int, width: int
+) -> tuple[int, ...]:
     """All distances d(0..L-1) from one exact product (Kronecker substitution).
 
-    With x = 10**w, P = sum_i a_i x**i holds ``a`` reversed and
+    With x = 10**width, P = sum_i a_i x**i holds ``a`` reversed and
     Q = sum_j b_j x**(L-1-j) holds ``b`` in reading order.  Term a_i*b_j
     lands in slot L-1+i-j, and folding slots L..2L-1 onto 0..L-1 (x**L = 1
     modulo x**L - 1) leaves C(n) in slot L-1-n: the n-th slot of the
-    folded digit string, read from the left.  No slot exceeds L < x, so
-    nothing carries between slots.
+    folded digit string, read from the left.  No slot exceeds the smaller
+    set-bit count, which the caller sized ``width`` to, so nothing carries
+    between slots.
     """
     length = len(a_bits)
-    width = _slot_width(length)
     digits = width * length
     prod = _EXACT.multiply(_slots(a_bits[::-1], width), _slots(b_bits, width))
     high = _EXACT.shift(prod, -digits)
     folded = _EXACT.add(high, _EXACT.subtract(prod, _EXACT.shift(high, digits)))
-    codes = memoryview(str(folded).zfill(digits).encode()).cast(
-        "I" if width == 4 else "Q"
-    )
-    return tuple(map(_DistanceTable(total_ones, width).__getitem__, codes))
+    text = str(folded).zfill(digits).encode()
+    # memoryview casts 4- or 8-byte cells; widen other slots into them
+    cell = 4 if width <= 4 else 8
+    if width != cell:
+        cells = bytearray(b"0") * (cell * length)
+        for j in range(width):
+            cells[cell - width + j :: cell] = text[j::width]
+        text = cells
+    codes = memoryview(text).cast("I" if cell == 4 else "Q")
+    return tuple(map(_DistanceTable(total_ones, cell).__getitem__, codes))
 
 
 def _check_exact(

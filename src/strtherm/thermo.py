@@ -126,9 +126,11 @@ def ensemble_thermo(n_obs: int, nbits: int, temperature: float) -> EnsembleTherm
 class ThermoReport:
     """Observed and equilibrium thermodynamic quantities for one input.
 
-    Equilibrium fields are None for degenerate inputs (all bits equal):
-    those carry temperature 0, zero internal energy, zero thermodynamic
-    entropy and exactly one microstate bit per particle.
+    Equilibrium fields are None for degenerate reports, whose observed
+    distances are all 0 or all ``nbits`` (a constant string, or a partial
+    ensemble such as one self shift): those carry temperature 0, zero
+    internal energy, zero thermodynamic entropy and exactly one
+    microstate bit per particle.
     """
 
     temperature: float

@@ -54,7 +54,7 @@ class TestSelfEnsemble:
         assert e.values == tuple(shift_xor_distance(b, n) for n in range(60))
 
     def test_full_matches_kernel(self):
-        # the full build takes the mirrored fast path; check it against
+        # a full build this short runs the shift loop; check it against
         # one kernel call per shift
         b = random_bitstring(101, 0.4, 8)
         e = build_self_ensemble(b, 101)
@@ -265,6 +265,11 @@ def full_sum(length, ones_a, ones_b):
     return length * (ones_a + ones_b) - 2 * ones_a * ones_b
 
 
+def slot_width(ones_a, ones_b):
+    """Digits of the largest correlation two extensions can have."""
+    return len(str(min(ones_a, ones_b)))
+
+
 class TestKernelEquivalence:
     @KERNELS
     @settings(max_examples=40, deadline=None)
@@ -297,8 +302,8 @@ class TestKernelEquivalence:
         st.lists(st.integers(0, 10000), max_size=6),
     )
     def test_slot_width_boundary(self, length, p, seed, shifts):
-        assert ensemble._use_product(length, length)
         b = random_bitstring(length, p, seed)
+        assert ensemble._use_product(length, length, slot_width(b.ones, b.ones))
         e = build_self_ensemble(b, length)
         bits = b.to_bits()
         shifts = [0, 1, length - 1] + [n % length for n in shifts]
@@ -333,16 +338,22 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("mode", ["self", "pair"])
     @settings(max_examples=3, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 10**4), max_size=6))
-    def test_dispatch_switch(self, mode, seed, shifts):
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 10**4), max_size=6),
+        st.sampled_from([0.5, 0.01]),
+    )
+    def test_dispatch_switch(self, mode, seed, shifts, p):
         if mode == "self":
-            a = b = random_bitstring(8192, 0.5, seed)
+            a = b = random_bitstring(8192, p, seed)
             length = 8192
         else:
-            a = random_bitstring(64, 0.5, seed)
-            b = random_bitstring(127, 0.5, seed + 1)
+            a = random_bitstring(64, p, seed)
+            b = random_bitstring(127, p, seed + 1)
             length = 64 * 127
-        width = ensemble._slot_width(length)
+        ones_a = a.ones * (length // a.nbits)
+        ones_b = b.ones * (length // b.nbits)
+        width = slot_width(ones_a, ones_b)
         switch = ensemble._PRODUCT_SHIFTS * width * length.bit_length()
         runs = {}
         for n in (switch - 1, switch, switch + 1):
@@ -361,6 +372,99 @@ class TestKernelEquivalence:
         assert [runs[switch + 1][n] for n in shifts] == naive_distances(
             a.to_bits(), b.to_bits(), shifts
         )
+
+    @pytest.mark.parametrize("zeros", [0, 3])
+    @pytest.mark.parametrize("ones", [9, 10, 99, 100, 9999, 10000, 99999, 100000])
+    def test_width_boundary_self(self, ones, zeros):
+        # dense strings fill the slots: every correlation is within
+        # `zeros` of `ones`, the largest value the width must hold
+        bits = with_ones(ones + zeros, ones, seed=ones)
+        vals, width = product_run(
+            lambda: build_self_ensemble(from_bits(bits), len(bits))
+        )
+        assert width == slot_width(ones, ones)
+        shifts = sample_shifts(len(bits), seed=ones)
+        assert [vals[n] for n in shifts] == naive_distances(bits, bits, shifts)
+        assert sum(vals) == full_sum(len(bits), ones, ones)
+        if zeros == 0:
+            assert vals == (0,) * len(bits)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["a-min", "b-min"])
+    @pytest.mark.parametrize("ones", [0, 9, 10, 99, 100, 9999, 10000, 99999, 100000])
+    def test_width_boundary_pair(self, ones, swap):
+        # `a` holds exactly `ones` set bits; `b` has half the period and
+        # more set bits per extension, so the bound is min = `ones`
+        a = with_ones(2 * (ones // 2) + 4, ones, seed=ones)
+        b = with_ones(len(a) // 2, ones // 2 + 1, seed=ones + 1)
+        if swap:
+            a, b = b, a
+        length = lcm(len(a), len(b))
+        vals, width = product_run(
+            lambda: build_pair_ensemble(from_bits(a), from_bits(b), length)
+        )
+        ones_a = a.count("1") * (length // len(a))
+        ones_b = b.count("1") * (length // len(b))
+        assert width == slot_width(ones_a, ones_b) == len(str(ones))
+        shifts = sample_shifts(length, seed=ones)
+        assert [vals[n] for n in shifts] == naive_distances(a, b, shifts)
+        assert sum(vals) == full_sum(length, ones_a, ones_b)
+
+    def test_all_zero_and_all_one(self):
+        zero, one = from_bits("0" * 12), from_bits("1" * 8)
+        assert product_run(lambda: build_self_ensemble(zero, 12)) == ((0,) * 12, 1)
+        cases = [(zero, one, 1), (one, zero, 1), (one, one, 0), (zero, zero, 0)]
+        for a, b, want in cases:
+            length = lcm(a.nbits, b.nbits)
+            vals, width = product_run(lambda: build_pair_ensemble(a, b, length))
+            assert vals == (want * length,) * length
+            assert width == (1 if zero in (a, b) else len(str(length)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(bit_strings),
+        st.integers(1, 40).flatmap(bit_strings),
+    )
+    def test_every_wider_slot_decodes_alike(self, a, b):
+        # slots wider than the bound only add leading zeros; this drives
+        # the 8-digit cells that a natural width reaches only past 10**7
+        # set bits, and every widening from 5-7 digits
+        length = lcm(len(a), len(b))
+        a_ext = (a * (length // len(a))).encode()
+        b_ext = (b * (length // len(b))).encode()
+        total = a_ext.count(b"1") + b_ext.count(b"1")
+        want = naive_distances(a, b, range(length))
+        bound = slot_width(a_ext.count(b"1"), b_ext.count(b"1"))
+        for width in range(bound, 9):
+            got = ensemble._product_distances(a_ext, b_ext, total, width)
+            assert list(got) == want, width
+
+    def test_slot_capacity(self):
+        assert ensemble._use_product(10**9, 2**20, 8)
+        assert not ensemble._use_product(10**9, 2**20, 9)
+
+
+def with_ones(length, ones, seed):
+    """A '0'/'1' string of ``length`` with exactly ``ones`` set bits."""
+    bits = ["0"] * length
+    for i in random.Random(seed).sample(range(length), ones):
+        bits[i] = "1"
+    return "".join(bits)
+
+
+def sample_shifts(length, seed):
+    rng = random.Random(seed)
+    return [0, 1, length - 1] + [rng.randrange(length) for _ in range(3)]
+
+
+def product_run(build):
+    """Run ``build`` on the product kernel: its values and the slot width
+    the product was called with."""
+    with forced(0), mock.patch.object(
+        ensemble, "_product_distances", wraps=ensemble._product_distances
+    ) as product:
+        e = build()
+    (*_, width), _ = product.call_args
+    return e.values, width
 
 
 def _corrupt(kind):
