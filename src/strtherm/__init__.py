@@ -23,7 +23,6 @@ from .ensemble import (
     ensemble_mean,
     histogram,
     histogram_to_csv,
-    histogram_to_json,
     without_self_match,
 )
 from .equilibrium import (
@@ -55,7 +54,6 @@ from .thermo import (
     equilibrium_entropy,
     equilibrium_internal_energy,
     internal_energy,
-    momentum,
     partition_function,
     report_to_csv,
     report_to_dict,
@@ -95,10 +93,8 @@ __all__ = [
     "from_bytes",
     "histogram",
     "histogram_to_csv",
-    "histogram_to_json",
     "internal_energy",
     "model_curve",
-    "momentum",
     "normal_counts",
     "partition_function",
     "random_bitstring",

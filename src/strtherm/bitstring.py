@@ -86,14 +86,6 @@ def truncate(b: BitString, nbits: int) -> BitString:
     return BitString(b.value >> (b.nbits - nbits), nbits)
 
 
-def rotated_value(b: BitString, n: int) -> int:
-    """Integer value of ``b`` cyclically advanced by ``n``: bit i -> bit i+n mod nbits."""
-    if n == 0:
-        return b.value
-    # left rotation in integer bit positions advances the reading index
-    return ((b.value << n) | (b.value >> (b.nbits - n))) & ((1 << b.nbits) - 1)
-
-
 def shift_xor_distance(b: BitString, n: int) -> int:
     """Hamming distance between ``b`` and ``b`` cyclically shifted by ``n`` bits.
 
@@ -104,7 +96,9 @@ def shift_xor_distance(b: BitString, n: int) -> int:
         raise InvalidShift(f"shift must be in [0, {b.nbits}), got {n}")
     if n == 0:
         return 0
-    return (b.value ^ rotated_value(b, n)).bit_count()
+    # left rotation in integer bit positions advances the reading index
+    rotated = ((b.value << n) | (b.value >> (b.nbits - n))) & ((1 << b.nbits) - 1)
+    return (b.value ^ rotated).bit_count()
 
 
 def random_bitstring(nbits: int, p: float, seed: int) -> BitString:

@@ -36,18 +36,13 @@ class AnalysisConfig:
     bit_order: str = bitstring.MSB_FIRST
     max_bits: int | None = None
     ensemble_size: int | None = None
-    output_format: str = "human"
-    emit_histogram: str | None = None
-    emit_curves: str | None = None
 
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    mode: str
     hist: ensemble.Histogram
     model: equilibrium.EquilibriumModel
     report: thermo.ThermoReport
-    full: bool
 
 
 def _load(path: str, bit_order: str, max_bits: int | None) -> bitstring.BitString:
@@ -79,7 +74,7 @@ def analyze(config: AnalysisConfig) -> AnalysisResult:
     hist = ensemble.histogram(ens)
     model = equilibrium.fit(hist)
     report = thermo.build_report(hist, model)
-    return AnalysisResult(ens.mode, hist, model, report, ens.full)
+    return AnalysisResult(hist, model, report)
 
 
 def gen_corpus(kind: str, size_bytes: int, seed: int, out_path: str) -> None:
@@ -101,36 +96,20 @@ def gen_corpus(kind: str, size_bytes: int, seed: int, out_path: str) -> None:
 
 
 def _analysis_json(config: AnalysisConfig, result: AnalysisResult) -> str:
+    r = result.report
     doc = {
         "report_version": REPORT_VERSION,
-        "mode": result.mode,
+        "mode": result.hist.mode,
         "input": config.inputs[0],
         "bit_order": config.bit_order,
-        "nbits": result.report.nbits,
-        "n_obs": result.report.n_obs,
-        "full_ensemble": result.full,
-        "report": thermo.report_to_dict(result.report),
+        "nbits": r.nbits,
+        "n_obs": r.n_obs,
+        "full_ensemble": r.n_obs == r.nbits,
+        "report": thermo.report_to_dict(r),
     }
     if len(config.inputs) == 2:
         doc["pair_input"] = config.inputs[1]
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-_HUMAN_ROWS = (
-    ("temperature", "temperature", "dimensionless"),
-    ("internal energy", "internal_energy", "per particle, observed"),
-    ("internal energy (equilibrium)", "internal_energy_eq", "per particle, T/2"),
-    ("entropy, thermodynamic", "entropy_thermo", "bits/particle"),
-    ("entropy, thermodynamic (equilibrium)", "entropy_thermo_eq", "bits/particle"),
-    ("entropy, microstate", "entropy_micro_per_bit", "bits/bit"),
-    ("entropy, microstate (equilibrium)", "entropy_micro_eq_per_bit", "bits/bit"),
-    ("partition function", "partition_fn", "dimensionless"),
-    ("whole-ensemble entropy", "entropy_nats", "nats"),
-    ("free energy", "free_energy", "dimensionless"),
-    ("pressure", "pressure", "dimensionless"),
-    ("volume", "volume", "sqrt(bits)"),
-    ("fit quality", "fit_quality", "normalized RMS, lower = closer to equilibrium"),
-)
 
 
 def _analysis_human(config: AnalysisConfig, result: AnalysisResult) -> str:
@@ -141,25 +120,30 @@ def _analysis_human(config: AnalysisConfig, result: AnalysisResult) -> str:
     if len(config.inputs) == 2:
         lines.append(f"pair input:       {config.inputs[1]}")
     lines += [
-        f"mode:             {result.mode}",
+        f"mode:             {result.hist.mode}",
         f"bit order:        {config.bit_order}",
         f"bits analyzed:    {r.nbits}",
-        f"observations:     {r.n_obs}" + ("  (full ensemble)" if result.full else ""),
+        f"observations:     {r.n_obs}"
+        + ("  (full ensemble)" if r.n_obs == r.nbits else ""),
         f"degenerate:       {'yes' if r.degenerate else 'no'}",
     ]
-    width = max(len(label) for label, _, _ in _HUMAN_ROWS) + 2
-    for label, attr, unit in _HUMAN_ROWS:
-        value = getattr(r, attr)
+    # the flag is shown above; every other field is a value row
+    rows = [f for f in thermo.REPORT_FIELDS if f.key != "degenerate"]
+    width = max(len(f.label) for f in rows) + 2
+    for f in rows:
+        value = getattr(r, f.attr)
         rendered = "undefined" if value is None else f"{value:.6g}"
-        lines.append(f"{(label + ':').ljust(width)}{rendered}  [{unit}]")
+        lines.append(f"{(f.label + ':').ljust(width)}{rendered}  [{f.unit}]")
     return "\n".join(lines) + "\n"
 
 
-def _write_artifacts(config: AnalysisConfig, result: AnalysisResult) -> None:
-    if config.emit_histogram:
-        with open(config.emit_histogram, "w") as fh:
+def _write_artifacts(
+    result: AnalysisResult, histogram_path: str | None, curves_path: str | None
+) -> None:
+    if histogram_path:
+        with open(histogram_path, "w") as fh:
             fh.write(ensemble.histogram_to_csv(result.hist))
-    if config.emit_curves:
+    if curves_path:
         if result.model.degenerate:
             print(
                 "strtherm: degenerate model, no curve file written",
@@ -167,19 +151,12 @@ def _write_artifacts(config: AnalysisConfig, result: AnalysisResult) -> None:
             )
         else:
             rows = equilibrium.model_curve(result.model, result.hist.max_distance)
-            with open(config.emit_curves, "w") as fh:
+            with open(curves_path, "w") as fh:
                 fh.write(equilibrium.curve_to_csv(rows))
 
 
-_SUMMARY_COLUMNS = (
-    ("u_bar", "internal_energy"),
-    ("u_bar_eq", "internal_energy_eq"),
-    ("s_thermo", "entropy_thermo"),
-    ("s_thermo_eq", "entropy_thermo_eq"),
-    ("s_micro_per_bit", "entropy_micro_per_bit"),
-    ("s_micro_eq_per_bit", "entropy_micro_eq_per_bit"),
-    ("fit_quality", "fit_quality"),
-)
+_SUMMARY_FIELDS = tuple(f for f in thermo.REPORT_FIELDS if f.in_summary)
+_SUMMARY_HEADER = ("input", *(f.key for f in _SUMMARY_FIELDS), "error")
 
 
 def corpus_summary(configs: list[AnalysisConfig]) -> list[dict]:
@@ -191,11 +168,9 @@ def corpus_summary(configs: list[AnalysisConfig]) -> list[dict]:
             result = analyze(config)
         except (StrthermError, OSError, ValueError) as exc:
             row["error"] = str(exc)
-            for key, _ in _SUMMARY_COLUMNS:
-                row[key] = None
-        else:
-            for key, attr in _SUMMARY_COLUMNS:
-                row[key] = getattr(result.report, attr)
+            result = None
+        for f in _SUMMARY_FIELDS:
+            row[f.key] = None if result is None else getattr(result.report, f.attr)
         rows.append(row)
     return rows
 
@@ -203,28 +178,20 @@ def corpus_summary(configs: list[AnalysisConfig]) -> list[dict]:
 def _summary_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["input"] + [key for key, _ in _SUMMARY_COLUMNS] + ["error"])
+    writer.writerow(_SUMMARY_HEADER)
     for row in rows:
-        cells = [row["input"]]
-        for key, _ in _SUMMARY_COLUMNS:
-            value = row[key]
-            cells.append("" if value is None else repr(value))
-        cells.append(row["error"])
-        writer.writerow(cells)
+        cells = [thermo.csv_cell(row[f.key]) for f in _SUMMARY_FIELDS]
+        writer.writerow([row["input"], *cells, row["error"]])
     return buf.getvalue()
 
 
 def _summary_human(rows: list[dict]) -> str:
-    headers = ["input"] + [key for key, _ in _SUMMARY_COLUMNS] + ["error"]
-    table = [headers]
+    table = [_SUMMARY_HEADER]
     for row in rows:
-        cells = [row["input"]]
-        for key, _ in _SUMMARY_COLUMNS:
-            value = row[key]
-            cells.append("" if value is None else f"{value:.4g}")
-        cells.append(row["error"])
-        table.append(cells)
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
+        values = [row[f.key] for f in _SUMMARY_FIELDS]
+        cells = ["" if v is None else f"{v:.4g}" for v in values]
+        table.append([row["input"], *cells, row["error"]])
+    widths = [max(len(r[i]) for r in table) for i in range(len(_SUMMARY_HEADER))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in table]
     return "\n".join(lines) + "\n"
 
@@ -242,18 +209,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         bit_order=_BIT_ORDERS[args.bit_order],
         max_bits=args.bits,
         ensemble_size=args.ensemble,
-        output_format=args.format,
-        emit_histogram=args.emit_histogram,
-        emit_curves=args.emit_curves,
     )
     result = analyze(config)
-    if config.output_format == "json":
-        sys.stdout.write(_analysis_json(config, result))
-    elif config.output_format == "csv":
-        sys.stdout.write(thermo.report_to_csv(result.report))
+    if args.format == "json":
+        text = _analysis_json(config, result)
+    elif args.format == "csv":
+        text = thermo.report_to_csv(result.report)
     else:
-        sys.stdout.write(_analysis_human(config, result))
-    _write_artifacts(config, result)
+        text = _analysis_human(config, result)
+    # print only after every artifact is written: a report means success
+    _write_artifacts(result, args.emit_histogram, args.emit_curves)
+    sys.stdout.write(text)
     return 0
 
 

@@ -7,7 +7,6 @@ extensions of two source strings with one of them rotated (pair mode).
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -280,8 +279,3 @@ def histogram_to_csv(h: Histogram) -> str:
     lines = ["C,N_count"]
     lines.extend(f"{c},{n}" for c, n in h.entries)
     return "\n".join(lines) + "\n"
-
-
-def histogram_to_json(h: Histogram) -> str:
-    """JSON array of {"c": distance, "n": count} objects."""
-    return json.dumps([{"c": c, "n": n} for c, n in h.entries], allow_nan=False)

@@ -26,11 +26,6 @@ from .errors import DegenerateModel
 _LOG2_E = math.log2(math.e)
 
 
-def momentum(c: float, mean_distance: float) -> float:
-    """Particle momentum: deviation of a distance from the ensemble mean."""
-    return c - mean_distance
-
-
 def energy_level(c: float, mean_distance: float, nbits: int) -> float:
     """Energy of a distance value: momentum squared over twice the mass."""
     p = c - mean_distance
@@ -171,84 +166,88 @@ def build_report(h: Histogram, model: EquilibriumModel | None = None) -> ThermoR
         # a single-observation ensemble holds only the self-match
         u_bar, s_thermo, s_micro = 0.0, 0.0, 1.0
     t = model.temperature
-    volume = math.sqrt(h.nbits)
-    if model.degenerate:
-        return ThermoReport(
-            temperature=0.0,
-            internal_energy=u_bar,
-            internal_energy_eq=None,
-            entropy_thermo=s_thermo,
-            entropy_thermo_eq=None,
-            entropy_micro=s_micro,
-            entropy_micro_per_bit=s_micro / h.nbits,
-            entropy_micro_eq_per_bit=None,
-            partition_fn=None,
-            entropy_nats=None,
-            free_energy=None,
-            pressure=None,
-            volume=volume,
-            degenerate=True,
-            fit_quality=None,
-            nbits=h.nbits,
-            n_obs=h.n_obs,
-        )
-    s_thermo_eq, s_micro_eq_per_bit = equilibrium_entropy(h.nbits, t, mean)
-    whole = ensemble_thermo(h.n_obs, h.nbits, t)
+    u_eq = s_thermo_eq = s_micro_eq_per_bit = z = s_nats = f = p = quality = None
+    if not model.degenerate:
+        u_eq = equilibrium_internal_energy(t)
+        s_thermo_eq, s_micro_eq_per_bit = equilibrium_entropy(h.nbits, t, mean)
+        z = partition_function(h.nbits, t)
+        s_nats, f, p, _ = ensemble_thermo(h.n_obs, h.nbits, t)
+        quality = fit_quality(obs, model)
     return ThermoReport(
         temperature=t,
         internal_energy=u_bar,
-        internal_energy_eq=equilibrium_internal_energy(t),
+        internal_energy_eq=u_eq,
         entropy_thermo=s_thermo,
         entropy_thermo_eq=s_thermo_eq,
         entropy_micro=s_micro,
         entropy_micro_per_bit=s_micro / h.nbits,
         entropy_micro_eq_per_bit=s_micro_eq_per_bit,
-        partition_fn=partition_function(h.nbits, t),
-        entropy_nats=whole.entropy_nats,
-        free_energy=whole.free_energy,
-        pressure=whole.pressure,
-        volume=whole.volume,
-        degenerate=False,
-        fit_quality=fit_quality(obs, model),
+        partition_fn=z,
+        entropy_nats=s_nats,
+        free_energy=f,
+        pressure=p,
+        volume=math.sqrt(h.nbits),
+        degenerate=model.degenerate,
+        fit_quality=quality,
         nbits=h.nbits,
         n_obs=h.n_obs,
     )
 
 
-# stable wire field order for JSON and CSV renderings
-_REPORT_FIELDS = (
-    ("t", "temperature"),
-    ("u_bar", "internal_energy"),
-    ("u_bar_eq", "internal_energy_eq"),
-    ("s_thermo", "entropy_thermo"),
-    ("s_thermo_eq", "entropy_thermo_eq"),
-    ("s_micro_per_bit", "entropy_micro_per_bit"),
-    ("s_micro_eq_per_bit", "entropy_micro_eq_per_bit"),
-    ("z", "partition_fn"),
-    ("s_nats", "entropy_nats"),
-    ("f", "free_energy"),
-    ("p", "pressure"),
-    ("v", "volume"),
-    ("degenerate", "degenerate"),
-    ("fit_quality", "fit_quality"),
+class ReportField(NamedTuple):
+    """One report quantity: wire key, ``ThermoReport`` attribute, human
+    label and unit, and whether batch summaries carry it."""
+
+    key: str
+    attr: str
+    label: str
+    unit: str
+    in_summary: bool
+
+
+# the one field table, in stable wire order; JSON, both CSVs and both
+# human renderings iterate it
+REPORT_FIELDS = (
+    ReportField("t", "temperature", "temperature", "dimensionless", False),
+    ReportField("u_bar", "internal_energy", "internal energy",
+                "per particle, observed", True),
+    ReportField("u_bar_eq", "internal_energy_eq", "internal energy (equilibrium)",
+                "per particle, T/2", True),
+    ReportField("s_thermo", "entropy_thermo", "entropy, thermodynamic",
+                "bits/particle", True),
+    ReportField("s_thermo_eq", "entropy_thermo_eq",
+                "entropy, thermodynamic (equilibrium)", "bits/particle", True),
+    ReportField("s_micro_per_bit", "entropy_micro_per_bit", "entropy, microstate",
+                "bits/bit", True),
+    ReportField("s_micro_eq_per_bit", "entropy_micro_eq_per_bit",
+                "entropy, microstate (equilibrium)", "bits/bit", True),
+    ReportField("z", "partition_fn", "partition function", "dimensionless", False),
+    ReportField("s_nats", "entropy_nats", "whole-ensemble entropy", "nats", False),
+    ReportField("f", "free_energy", "free energy", "dimensionless", False),
+    ReportField("p", "pressure", "pressure", "dimensionless", False),
+    ReportField("v", "volume", "volume", "sqrt(bits)", False),
+    ReportField("degenerate", "degenerate", "degenerate", "flag", False),
+    ReportField("fit_quality", "fit_quality", "fit quality",
+                "normalized RMS, lower = closer to equilibrium", True),
 )
 
 
 def report_to_dict(report: ThermoReport) -> dict:
     """The stable JSON field set, in fixed order."""
-    return {key: getattr(report, attr) for key, attr in _REPORT_FIELDS}
+    return {f.key: getattr(report, f.attr) for f in REPORT_FIELDS}
+
+
+def csv_cell(value: float | bool | None) -> str:
+    """A report value as a CSV cell: None is empty, flags are true/false."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
 
 
 def report_to_csv(report: ThermoReport) -> str:
     """One header row plus one value row; None renders as an empty cell."""
-    header = ",".join(key for key, _ in _REPORT_FIELDS)
-    cells = []
-    for _, attr in _REPORT_FIELDS:
-        value = getattr(report, attr)
-        if value is None:
-            cells.append("")
-        elif isinstance(value, bool):
-            cells.append("true" if value else "false")
-        else:
-            cells.append(repr(value))
-    return header + "\n" + ",".join(cells) + "\n"
+    header = ",".join(f.key for f in REPORT_FIELDS)
+    cells = ",".join(csv_cell(getattr(report, f.attr)) for f in REPORT_FIELDS)
+    return header + "\n" + cells + "\n"

@@ -1,7 +1,10 @@
+import csv
 import dataclasses
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from strtherm.cli import (
     gen_corpus,
     main,
 )
+from strtherm.thermo import REPORT_FIELDS
 
 
 @pytest.fixture
@@ -79,18 +83,24 @@ class TestAnalyze:
         assert doc["report"]["u_bar"] == pytest.approx(0.5)
         assert doc["report"]["t"] == pytest.approx(0.25)
 
-    def test_nan_report_is_not_printed(self, crafted_file, monkeypatch, capsys):
+    def test_nan_report_is_not_printed(
+        self, crafted_file, tmp_path, monkeypatch, capsys
+    ):
         build = st.thermo.build_report
         monkeypatch.setattr(
             st.thermo,
             "build_report",
             lambda h, m: dataclasses.replace(build(h, m), temperature=float("nan")),
         )
-        rc = main(["analyze", crafted_file, "--bits", "4", "--format", "json"])
+        hist_path = tmp_path / "dots.csv"
+        rc = main(["analyze", crafted_file, "--bits", "4", "--format", "json",
+                   "--emit-histogram", str(hist_path)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
+        # a report that cannot be rendered leaves no artifacts either
+        assert not hist_path.exists()
 
     def test_all_zero_degenerate_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "z.bin"
@@ -152,6 +162,14 @@ class TestAnalyze:
         lines = curve_path.read_text().strip().split("\n")
         assert lines[0] == "C,N_normal,N_binomial"
         assert len(lines) > 1
+
+    def test_failed_emit_prints_no_report(self, crafted_file, tmp_path, capsys):
+        rc = main(["analyze", crafted_file, "--bits", "4", "--format", "csv",
+                   "--emit-histogram", str(tmp_path / "no" / "dots.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
     def test_degenerate_skips_curves(self, tmp_path, capsys):
         path = tmp_path / "z.bin"
@@ -243,6 +261,65 @@ class TestBatch:
         for row in rows:
             assert row["error"] == ""
             assert row["u_bar"] == pytest.approx(row["u_bar_eq"], rel=0.1)
+
+
+class TestReportFields:
+    """Every rendering follows the one field table, in JSON key order."""
+
+    @pytest.fixture
+    def analyzed(self, tmp_path, capsys):
+        path = tmp_path / "r.bin"
+        gen_corpus("random", 64, 5, str(path))
+
+        def run(*args):
+            assert main([*args]) == 0
+            return capsys.readouterr().out
+
+        doc = json.loads(run("analyze", str(path), "--format", "json"))
+        return path, doc["report"], run
+
+    def test_csv_header_is_json_keys(self, analyzed):
+        path, report, run = analyzed
+        header, row = run("analyze", str(path), "--format", "csv").splitlines()
+        assert header.split(",") == list(report)
+        assert [f.key for f in REPORT_FIELDS] == list(report)
+
+    def test_human_rows_follow_json_keys(self, analyzed):
+        path, report, run = analyzed
+        rows = []
+        for line in run("analyze", str(path)).splitlines():
+            label, _, rest = line.partition(":")
+            if "  [" in rest:
+                value, _, unit = rest.strip().partition("  [")
+                rows.append((label, value, unit.rstrip("]")))
+        want = [(f.label, f"{report[f.key]:.6g}", f.unit)
+                for f in REPORT_FIELDS if f.key != "degenerate"]
+        assert rows == want
+
+    def test_batch_csv_header_and_cells(self, analyzed, tmp_path):
+        path, report, run = analyzed
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{path}\n")
+        out = run("batch", str(manifest), "--format", "csv")
+        header, row = csv.reader(io.StringIO(out))
+        summary = [f.key for f in REPORT_FIELDS if f.in_summary]
+        assert header == ["input", *summary, "error"]
+        assert summary == ["u_bar", "u_bar_eq", "s_thermo", "s_thermo_eq",
+                           "s_micro_per_bit", "s_micro_eq_per_bit", "fit_quality"]
+        # batch cells render exactly as the report CSV renders them
+        report_header, report_row = run(
+            "analyze", str(path), "--format", "csv"
+        ).splitlines()
+        cells = dict(zip(report_header.split(","), report_row.split(",")))
+        assert row == [str(path), *(cells[k] for k in summary), ""]
+
+    def test_readme_table_is_json_keys(self, analyzed):
+        _, report, _ = analyzed
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Reading the report", 1)[1].split("\n#", 1)[0]
+        keys = [line.split("`")[1] for line in section.splitlines()
+                if line.startswith("| `")]
+        assert keys == list(report)
 
 
 class TestDeterminism:

@@ -1,4 +1,3 @@
-import json
 import random
 from math import lcm
 from unittest import mock
@@ -26,7 +25,6 @@ from strtherm.ensemble import (
     ensemble_mean,
     histogram,
     histogram_to_csv,
-    histogram_to_json,
     without_self_match,
 )
 from strtherm.errors import ExactnessCheckFailed, InvalidEnsembleSize, PairTooLarge
@@ -223,19 +221,6 @@ class TestSerialization:
     def test_csv(self):
         h = histogram(build_self_ensemble(from_bits("0011"), 4))
         assert histogram_to_csv(h) == "C,N_count\n0,1\n2,2\n4,1\n"
-
-    def test_json(self):
-        h = histogram(build_self_ensemble(from_bits("0011"), 4))
-        assert json.loads(histogram_to_json(h)) == [
-            {"c": 0, "n": 1},
-            {"c": 2, "n": 2},
-            {"c": 4, "n": 1},
-        ]
-
-    def test_json_rejects_nan(self):
-        h = Histogram(((float("nan"), 1),), 1, 4, 4)
-        with pytest.raises(ValueError):
-            histogram_to_json(h)
 
 
 def naive_distances(a: str, b: str, shifts) -> list[int]:

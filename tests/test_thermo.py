@@ -7,6 +7,7 @@ import pytest
 from strtherm.bitstring import from_bits, random_bitstring
 from strtherm.ensemble import (
     Histogram,
+    build_pair_ensemble,
     build_self_ensemble,
     histogram,
     without_self_match,
@@ -21,10 +22,22 @@ from strtherm.thermo import (
     equilibrium_entropy,
     equilibrium_internal_energy,
     internal_energy,
-    momentum,
     partition_function,
     report_to_csv,
     report_to_dict,
+)
+
+
+# every report field that only the fitted equilibrium model defines
+EQUILIBRIUM_FIELDS = (
+    "internal_energy_eq",
+    "entropy_thermo_eq",
+    "entropy_micro_eq_per_bit",
+    "partition_fn",
+    "entropy_nats",
+    "free_energy",
+    "pressure",
+    "fit_quality",
 )
 
 
@@ -53,11 +66,9 @@ def exact_multinomial(h: Histogram) -> int:
 class TestEnergyLevel:
     def test_zero_momentum(self):
         assert energy_level(2.0, 2.0, 4) == 0.0
-        assert momentum(2.0, 2.0) == 0.0
 
     def test_plug_in(self):
         assert energy_level(4, 2.0, 4) == pytest.approx(0.5)
-        assert momentum(4, 2.0) == 2.0
 
     def test_momentum_sign_symmetry(self):
         assert energy_level(0, 2.0, 4) == energy_level(4, 2.0, 4) == pytest.approx(0.5)
@@ -268,6 +279,34 @@ class TestBuildReport:
         assert r.degenerate
         assert r.internal_energy == 0.0
         assert r.entropy_micro == 1.0
+
+    @pytest.mark.parametrize("h", [
+        full_histogram(from_bits("0" * 64)),
+        full_histogram(from_bits("1" * 64)),
+        histogram(build_self_ensemble(from_bits("0110"), 1)),
+        histogram(build_pair_ensemble(from_bits("0110"), from_bits("0110"), 1)),
+        histogram(build_pair_ensemble(from_bits("0110"), from_bits("1001"), 1)),
+    ], ids=["all-zero", "all-one", "self-one-shift", "pair-agree", "pair-differ"])
+    def test_degenerate_has_no_equilibrium_fields(self, h):
+        r = build_report(h)
+        assert r.degenerate
+        assert r.temperature == 0.0
+        assert {a: getattr(r, a) for a in EQUILIBRIUM_FIELDS} == dict.fromkeys(
+            EQUILIBRIUM_FIELDS
+        )
+
+    @pytest.mark.parametrize("h", [
+        full_histogram(from_bits("0101")),
+        full_histogram(random_bitstring(512, 0.5, 4)),
+        histogram(build_self_ensemble(random_bitstring(512, 0.2, 5), 37)),
+        histogram(build_pair_ensemble(from_bits("0011"), from_bits("0110"), 1)),
+    ], ids=["alternating", "random-full", "sparse-partial", "pair-one-shift"])
+    def test_equilibrium_fields_are_finite(self, h):
+        r = build_report(h)
+        assert not r.degenerate
+        for attr in EQUILIBRIUM_FIELDS:
+            value = getattr(r, attr)
+            assert isinstance(value, float) and math.isfinite(value), attr
 
     def test_volume_is_sqrt_mass(self):
         r = build_report(full_histogram(random_bitstring(4096, 0.5, 1)))
