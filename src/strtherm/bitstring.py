@@ -115,7 +115,6 @@ def random_bitstring(nbits: int, p: float, seed: int) -> BitString:
     if p == 0.5:
         value = rng.getrandbits(nbits)
     else:
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | (rng.random() < p)
+        # one draw per bit, first bit first; a single parse keeps it linear
+        value = int("".join("01"[rng.random() < p] for _ in range(nbits)), 2)
     return BitString(value, nbits)

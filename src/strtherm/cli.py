@@ -13,10 +13,9 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from math import lcm
 
 from . import bitstring, ensemble, equilibrium, thermo
-from .errors import DegenerateModel, EmptyInput, StrthermError
+from .errors import EmptyInput, StrthermError
 
 REPORT_VERSION = 1
 
@@ -60,17 +59,11 @@ def analyze(config: AnalysisConfig) -> AnalysisResult:
     """Run ingestion, ensemble, model fit and thermodynamics for one config."""
     if not 1 <= len(config.inputs) <= 2:
         raise ValueError("analysis takes one input, or two in pair mode")
-    if len(config.inputs) == 2:
-        a = _load(config.inputs[0], config.bit_order, config.max_bits)
-        b = _load(config.inputs[1], config.bit_order, config.max_bits)
-        n = config.ensemble_size
-        ens = ensemble.build_pair_ensemble(
-            a, b, lcm(a.nbits, b.nbits) if n is None else n
-        )
+    strings = [_load(p, config.bit_order, config.max_bits) for p in config.inputs]
+    if len(strings) == 2:
+        ens = ensemble.build_pair_ensemble(*strings, config.ensemble_size)
     else:
-        b = _load(config.inputs[0], config.bit_order, config.max_bits)
-        n = config.ensemble_size
-        ens = ensemble.build_self_ensemble(b, b.nbits if n is None else n)
+        ens = ensemble.build_self_ensemble(*strings, config.ensemble_size)
     hist = ensemble.histogram(ens)
     model = equilibrium.fit(hist)
     report = thermo.build_report(hist, model)

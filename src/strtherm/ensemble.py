@@ -20,7 +20,7 @@ SELF_MODE = "self"
 PAIR_MODE = "pair"
 
 # cap on the lcm extension of a pair; coprime lengths can explode it
-DEFAULT_PAIR_CAP_BITS = 1 << 26
+PAIR_CAP_BITS = 1 << 26
 
 # exact integer arithmetic on decimals of any length; libmpdec multiplies
 # long operands with a number-theoretic transform
@@ -51,11 +51,6 @@ class Ensemble:
     def n_obs(self) -> int:
         return len(self.values)
 
-    @property
-    def full(self) -> bool:
-        """True when every shift 0..nbits-1 was observed."""
-        return len(self.values) == self.nbits
-
 
 @dataclass(frozen=True)
 class Histogram:
@@ -68,43 +63,33 @@ class Histogram:
     mode: str = SELF_MODE
 
 
-def build_self_ensemble(b: BitString, n_shifts: int) -> Ensemble:
-    """Distances between ``b`` and each of its first ``n_shifts`` cyclic shifts."""
-    m = b.nbits
-    if not 1 <= n_shifts <= m:
-        raise InvalidEnsembleSize(
-            f"ensemble size must be in [1, {m}], got {n_shifts}"
-        )
-    return _build(b, b, m, n_shifts, SELF_MODE)
+def build_self_ensemble(b: BitString, n_shifts: int | None = None) -> Ensemble:
+    """Distances between ``b`` and each of its first ``n_shifts`` cyclic
+    shifts; ``None`` means every shift."""
+    return _build(b, b, b.nbits, n_shifts, SELF_MODE)
 
 
 def build_pair_ensemble(
-    a: BitString,
-    b: BitString,
-    n_shifts: int,
-    max_bits: int = DEFAULT_PAIR_CAP_BITS,
+    a: BitString, b: BitString, n_shifts: int | None = None
 ) -> Ensemble:
     """Distances between the lcm-length extensions of ``a`` and rotated ``b``.
 
     Both strings are repeated cyclically out to lcm(a.nbits, b.nbits);
     observation n XORs the extension of ``a`` with the extension of ``b``
-    advanced by n bits.  With a == b this reduces exactly to the self
-    ensemble.
+    advanced by n bits, for the first ``n_shifts`` shifts (``None``: all
+    of them).  With a == b this reduces exactly to the self ensemble.
     """
     length = lcm(a.nbits, b.nbits)
-    if length > max_bits:
+    if length > PAIR_CAP_BITS:
         raise PairTooLarge(
-            f"lcm({a.nbits}, {b.nbits}) = {length} bits exceeds the cap of {max_bits}"
-        )
-    if not 1 <= n_shifts <= length:
-        raise InvalidEnsembleSize(
-            f"ensemble size must be in [1, {length}], got {n_shifts}"
+            f"lcm({a.nbits}, {b.nbits}) = {length} bits "
+            f"exceeds the cap of {PAIR_CAP_BITS}"
         )
     return _build(a, b, length, n_shifts, PAIR_MODE)
 
 
 def _build(
-    a: BitString, b: BitString, length: int, n_shifts: int, mode: str
+    a: BitString, b: BitString, length: int, n_shifts: int | None, mode: str
 ) -> Ensemble:
     """Observations 0..n_shifts-1 between the ``length``-bit extensions of
     ``a`` and of ``b`` advanced by n bits; self mode passes one string twice.
@@ -113,6 +98,12 @@ def _build(
     a_i * b_(i+n mod length)`` is the cyclic cross-correlation of the
     extensions.
     """
+    if n_shifts is None:
+        n_shifts = length
+    if not 1 <= n_shifts <= length:
+        raise InvalidEnsembleSize(
+            f"ensemble size must be in [1, {length}], got {n_shifts}"
+        )
     ones_a = a.ones * (length // a.nbits)
     ones_b = b.ones * (length // b.nbits)
     max_distance = min(ones_a + ones_b, 2 * length - ones_a - ones_b)
@@ -158,8 +149,7 @@ def _tile(b: BitString, length: int) -> int:
     """Integer value of ``b`` repeated out to ``length`` bits."""
     if length == b.nbits:
         return b.value
-    # multiplying by the comb 0b0..010..010..01 places one copy per period
-    return b.value * (((1 << length) - 1) // ((1 << b.nbits) - 1))
+    return int(_bits(b, length), 2)
 
 
 def _bits(b: BitString, length: int) -> bytes:

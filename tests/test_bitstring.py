@@ -146,6 +146,25 @@ class TestRandomBitstring:
         b = random_bitstring(65536, 0.1, 3)
         assert abs(b.ones / b.nbits - 0.1) < 0.02
 
+    @pytest.mark.parametrize(
+        "nbits, p, seed",
+        [
+            (1, 0.3, 0),
+            (1, 0.7, 5),
+            (7, 0.1, 1),
+            (63, 0.25, 2),
+            (1001, 0.9, 3),
+            (4096, 0.3, 4),
+        ],
+    )
+    def test_biased_value_is_one_draw_per_bit(self, nbits, p, seed):
+        # reference: bit i is draw i, first bit most significant
+        rng = random.Random(seed)
+        value = 0
+        for _ in range(nbits):
+            value = (value << 1) | (rng.random() < p)
+        assert random_bitstring(nbits, p, seed).value == value
+
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
             random_bitstring(8, 1.5, 0)

@@ -35,7 +35,7 @@ class TestSelfEnsemble:
         e = build_self_ensemble(from_bits("0101"), 4)
         assert e.values == (0, 4, 0, 4)
         assert e.mode == "self"
-        assert e.full
+        assert e.n_obs == e.nbits
 
     def test_block_full(self):
         e = build_self_ensemble(from_bits("0011"), 4)
@@ -44,7 +44,7 @@ class TestSelfEnsemble:
     def test_single_observation(self):
         e = build_self_ensemble(from_bits("1101"), 1)
         assert e.values == (0,)
-        assert not e.full
+        assert e.n_obs != e.nbits
 
     def test_partial_matches_kernel(self):
         b = random_bitstring(97, 0.5, 5)
@@ -68,6 +68,10 @@ class TestSelfEnsemble:
     def test_bad_size_rejected(self, n):
         with pytest.raises(InvalidEnsembleSize):
             build_self_ensemble(from_bits("0101"), n)
+
+    def test_default_size_is_every_shift(self):
+        b = random_bitstring(211, 0.3, 4)
+        assert build_self_ensemble(b).values == build_self_ensemble(b, 211).values
 
 
 class TestPairEnsemble:
@@ -116,12 +120,18 @@ class TestPairEnsemble:
         e = build_pair_ensemble(a, b, 6)
         assert e.mode == "pair"
         assert e.nbits == 6
-        with pytest.raises(PairTooLarge):
-            build_pair_ensemble(a, b, 1, max_bits=4)
+        with mock.patch.object(ensemble, "PAIR_CAP_BITS", 4):
+            with pytest.raises(PairTooLarge):
+                build_pair_ensemble(a, b, 1)
 
     def test_bad_size_rejected(self):
         with pytest.raises(InvalidEnsembleSize):
             build_pair_ensemble(from_bits("01"), from_bits("0110"), 5)
+
+    def test_default_size_is_every_shift(self):
+        a = random_bitstring(12, 0.5, 1)
+        b = random_bitstring(35, 0.5, 2)
+        assert build_pair_ensemble(a, b).values == build_pair_ensemble(a, b, 420).values
 
 
 def _lcm(a, b):
@@ -278,6 +288,15 @@ class TestKernelEquivalence:
         with forced(product_shifts):
             e = build_self_ensemble(truncate(from_bytes(data, order), cut), cut)
         assert list(e.values) == naive_distances(bits, bits, range(cut))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 50).flatmap(lambda k: bit_strings(2 * k + 1)),
+        st.integers(1, 7),
+    )
+    def test_tile_repeats_the_string(self, bits, k):
+        b = from_bits(bits)
+        assert ensemble._tile(b, k * b.nbits) == int(bits * k, 2)
 
     @pytest.mark.parametrize("length", [9999, 10000, 10001])
     @settings(max_examples=4, deadline=None)
