@@ -7,7 +7,11 @@ extensions of two source strings with one of them rotated (pair mode).
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+import threading
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
@@ -28,8 +32,19 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 # the product pays off above this many shifts per slot digit per bit of
 # the length; the measured crossover was 25-72 at slot widths 3 and 5 and
-# 31-65 at 4 and 8 (L = 2**11..2**20, CPython 3.11, 2-core Intel Xeon VM)
+# 31-65 at 4 and 8 (L = 2**11..2**20, CPython 3.11, 2-core Intel Xeon VM).
+# Against the three-pass loop on one CPU it was 25-66 at widths 3 and 5;
+# with the loop split over two CPUs it was 25-63 up to L = 2**17 and
+# 55-125 at L = 2**19..2**20, the higher values when the host kept the
+# second CPU free (same machine)
 _PRODUCT_SHIFTS = 50
+
+# the shift loop is split across CPUs from this many shifted bits (shifts
+# times length) on: with a second CPU free, two forked workers took 1.06-1.07
+# times the serial time at 2**26, 0.75-0.82 at 2**27 and 0.65-0.69 at 2**28
+# (L = 2**16..2**23; a fork costs about 2 ms at 24 MiB resident; same
+# machine); in phases when the host ran both on one CPU, 1.1-1.4 times
+_FORK_BITS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -113,11 +128,12 @@ def _build(
         vals = _product_distances(
             _bits(a, length), _bits(b, length), ones_a + ones_b, width
         )
-        _check_exact(vals, length, ones_a, ones_b, max_distance)
-        vals = vals[:n_shifts]
     else:
-        vals = _shift_distances(_tile(a, length), _tile(b, length), length, n_shifts)
-    return Ensemble(vals, length, mode, max_distance)
+        # observation 0 of a self ensemble is the self-match
+        first = 1 if mode == SELF_MODE else 0
+        vals = (0,) * first + _loop_distances(a, b, length, first, n_shifts)
+    _check_exact(vals, length, ones_a, ones_b, max_distance)
+    return Ensemble(vals[:n_shifts], length, mode, max_distance)
 
 
 def _use_product(n_shifts: int, length: int, width: int) -> bool:
@@ -132,17 +148,119 @@ def _use_product(n_shifts: int, length: int, width: int) -> bool:
     return width <= 8 and n_shifts > _PRODUCT_SHIFTS * width * length.bit_length()
 
 
-def _shift_distances(
-    a_ext: int, b_ext: int, length: int, n_shifts: int
+def _loop_distances(
+    a: BitString, b: BitString, length: int, first: int, n_shifts: int
 ) -> tuple[int, ...]:
-    """One XOR and popcount per shift: O(n_shifts * length)."""
-    mask = (1 << length) - 1
-    # rotating the extension by n equals extending b rotated by n,
-    # because b.nbits divides the extension length
+    """Distances d(first..n_shifts-1) from the shift loop, split into one
+    contiguous range per CPU that ``_cpus`` grants."""
+    if first == n_shifts:
+        return ()
+    count = n_shifts - first
+    workers = min(count, _cpus(n_shifts * length))
+    bounds = [first + count * i // workers for i in range(workers + 1)]
     return tuple(
-        (a_ext ^ (((b_ext << n) | (b_ext >> (length - n))) & mask)).bit_count()
-        for n in range(n_shifts)
+        _forked_distances(
+            _tile(a, length), _tile(b, length), length, list(zip(bounds, bounds[1:]))
+        )
     )
+
+
+def _cpus(shifted_bits: int) -> int:
+    """CPUs to split a loop over ``shifted_bits`` (shifts times length)
+    across: every CPU this process may use from ``_FORK_BITS`` on, on
+    platforms with ``fork``, and only while no other thread runs (a
+    forked child would inherit locks held by threads absent from it)."""
+    if (
+        shifted_bits < _FORK_BITS
+        or not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() != 1
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shift_distances(
+    a_ext: int, b_ext: int, length: int, start: int, stop: int
+) -> list[int]:
+    """One shift, one XOR and one popcount per observation n in
+    [start, stop): O((stop - start) * length).
+
+    ``doubled`` holds the extension of b twice, so shifting it right by
+    length - n leaves the extension rotated left by n in the low
+    ``length`` bits; above them sit its n wrapped top bits, whose
+    popcount is subtracted.  Rotating the extension by n equals extending
+    b rotated by n, because b.nbits divides the extension length.
+    """
+    doubled = (b_ext << length) | b_ext
+    return [
+        (a_ext ^ (doubled >> (length - n))).bit_count()
+        - (b_ext >> (length - n)).bit_count()
+        for n in range(start, stop)
+    ]
+
+
+def _forked_distances(
+    a_ext: int, b_ext: int, length: int, ranges: list[tuple[int, int]]
+) -> list[int]:
+    """Distances over consecutive ``ranges``: this process computes the
+    first, one forked child each of the others (none for a single range).
+
+    A child sends its distances as int64 bytes down its own pipe and
+    leaves with ``os._exit``, so it never returns into the caller's
+    stack or flushes inherited stdio buffers.  Every child is reaped
+    before this returns or raises.
+    """
+    pipes, pids = [], []
+    try:
+        for start, stop in ranges[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(write_fd, a_ext, b_ext, length, start, stop)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        vals = _shift_distances(a_ext, b_ext, length, *ranges[0])
+        for (start, stop), pipe in zip(ranges[1:], pipes):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if code != 0 or len(data) != 8 * (stop - start):
+                raise ExactnessCheckFailed(
+                    f"the worker for shifts {start}..{stop - 1} exited with "
+                    f"status {code} after sending {len(data)} of "
+                    f"{8 * (stop - start)} bytes"
+                )
+            vals.extend(array("q", data))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    return vals
+
+
+def _child(
+    write_fd: int, a_ext: int, b_ext: int, length: int, start: int, stop: int
+) -> None:
+    """Body of a forked worker: never returns; exit status 0 only after
+    every distance was written."""
+    status = 1
+    try:
+        data = memoryview(
+            array("q", _shift_distances(a_ext, b_ext, length, start, stop)).tobytes()
+        )
+        while data:
+            data = data[os.write(write_fd, data) :]
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _tile(b: BitString, length: int) -> int:
@@ -211,10 +329,11 @@ def _product_distances(
 def _check_exact(
     vals: tuple[int, ...], length: int, ones_a: int, ones_b: int, max_distance: int
 ) -> None:
-    """Raise unless a full ensemble meets its exact integer identities."""
+    """Raise unless the distances meet their exact integer identities: the
+    range and parity of each, and on a full ensemble their sum."""
     problems = []
     expected_sum = length * (ones_a + ones_b) - 2 * ones_a * ones_b
-    if sum(vals) != expected_sum:
+    if len(vals) == length and sum(vals) != expected_sum:
         problems.append(f"sum of distances {sum(vals)} != {expected_sum}")
     distinct = set(vals)
     if min(distinct) < 0 or max(distinct) > max_distance:

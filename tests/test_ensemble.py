@@ -1,4 +1,8 @@
+import contextlib
+import os
 import random
+import threading
+import time
 from math import lcm
 from unittest import mock
 
@@ -246,14 +250,24 @@ def bit_strings(length):
     return st.text(alphabet="01", min_size=length, max_size=length)
 
 
-# _PRODUCT_SHIFTS values that force one kernel for every ensemble size
-KERNELS = pytest.mark.parametrize(
-    "product_shifts", [0, 10**9], ids=["product", "loop"]
-)
+# settings that force one kernel for every ensemble size; the split
+# loop gets three CPUs on any host, so short ensembles leave some idle
+KERNEL_SETTINGS = {
+    "product": {"_PRODUCT_SHIFTS": 0},
+    "loop": {"_PRODUCT_SHIFTS": 10**9},
+    "split": {"_PRODUCT_SHIFTS": 10**9, "_FORK_BITS": 0},
+}
+KERNELS = pytest.mark.parametrize("kernel", list(KERNEL_SETTINGS))
+SPLIT_CPUS = 3
 
 
-def forced(product_shifts):
-    return mock.patch.object(ensemble, "_PRODUCT_SHIFTS", product_shifts)
+@contextlib.contextmanager
+def forced(kernel):
+    cpus = set(range(SPLIT_CPUS))
+    with mock.patch.multiple(ensemble, **KERNEL_SETTINGS[kernel]), mock.patch.object(
+        os, "sched_getaffinity", return_value=cpus
+    ):
+        yield
 
 
 def full_sum(length, ones_a, ones_b):
@@ -269,8 +283,8 @@ class TestKernelEquivalence:
     @KERNELS
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100).flatmap(lambda k: bit_strings(2 * k + 1)))
-    def test_self_odd_lengths(self, product_shifts, bits):
-        with forced(product_shifts):
+    def test_self_odd_lengths(self, kernel, bits):
+        with forced(kernel):
             e = build_self_ensemble(from_bits(bits), len(bits))
         assert list(e.values) == naive_distances(bits, bits, range(len(bits)))
 
@@ -281,11 +295,11 @@ class TestKernelEquivalence:
         st.sampled_from([MSB_FIRST, LSB_FIRST]),
         st.data(),
     )
-    def test_bit_orders_and_truncation(self, product_shifts, data, order, draw):
+    def test_bit_orders_and_truncation(self, kernel, data, order, draw):
         cut = draw.draw(st.integers(1, 8 * len(data)), label="bits")
         step = 1 if order == MSB_FIRST else -1
         bits = "".join(f"{byte:08b}"[::step] for byte in data)[:cut]
-        with forced(product_shifts):
+        with forced(kernel):
             e = build_self_ensemble(truncate(from_bytes(data, order), cut), cut)
         assert list(e.values) == naive_distances(bits, bits, range(cut))
 
@@ -330,9 +344,9 @@ class TestKernelEquivalence:
         st.integers(1, 100).flatmap(bit_strings),
         st.lists(st.integers(0, 10**4), max_size=6),
     )
-    def test_pair_large_lcm(self, product_shifts, a, b, shifts):
+    def test_pair_large_lcm(self, kernel, a, b, shifts):
         length = lcm(len(a), len(b))
-        with forced(product_shifts):
+        with forced(kernel):
             e = build_pair_ensemble(from_bits(a), from_bits(b), length)
         shifts = [0, length - 1] + [n % length for n in shifts]
         assert [e.values[n] for n in shifts] == naive_distances(a, b, shifts)
@@ -463,7 +477,7 @@ def sample_shifts(length, seed):
 def product_run(build):
     """Run ``build`` on the product kernel: its values and the slot width
     the product was called with."""
-    with forced(0), mock.patch.object(
+    with forced("product"), mock.patch.object(
         ensemble, "_product_distances", wraps=ensemble._product_distances
     ) as product:
         e = build()
@@ -517,3 +531,200 @@ class TestExactnessCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exactness check" in captured.err
+
+    @pytest.mark.parametrize(
+        "kind, problem, n",
+        [
+            ("sum", "sum of distances", None),
+            ("parity", "parity", None),
+            ("parity", "parity", 50),
+            ("range", "outside", None),
+            ("range", "outside", 50),
+        ],
+    )
+    def test_corrupted_loop_raises(self, kind, problem, n, monkeypatch):
+        loop = ensemble._shift_distances
+        monkeypatch.setattr(
+            ensemble,
+            "_shift_distances",
+            lambda *args: list(_corrupt(kind)(loop(*args))),
+        )
+        b = random_bitstring(301, 0.5, 9)
+        with forced("loop"), pytest.raises(ExactnessCheckFailed, match=problem):
+            build_self_ensemble(b, n)
+
+    def test_partial_loop_skips_the_sum(self, monkeypatch):
+        # only a full ensemble has a known sum
+        loop = ensemble._shift_distances
+        monkeypatch.setattr(
+            ensemble,
+            "_shift_distances",
+            lambda *args: list(_corrupt("sum")(loop(*args))),
+        )
+        b = random_bitstring(301, 0.5, 9)
+        with forced("loop"):
+            vals = build_self_ensemble(b, 50).values
+        assert vals[2] == shift_xor_distance(b, 2) + 2
+
+
+def in_children(corrupt):
+    """Patch the shift loop so that it returns ``corrupt(values)`` in
+    forked children and the true values in this process."""
+    parent = os.getpid()
+    loop = ensemble._shift_distances
+
+    def shift_distances(*args):
+        vals = loop(*args)
+        return vals if os.getpid() == parent else corrupt(vals)
+
+    return mock.patch.object(ensemble, "_shift_distances", shift_distances)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(bit_strings),
+        st.one_of(st.none(), st.integers(1, 60).flatmap(bit_strings)),
+        st.data(),
+    )
+    def test_split_matches_serial_and_oracle(self, a, b, draw):
+        length = len(a) if b is None else lcm(len(a), len(b))
+        sizes = st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, length))
+        n = min(length, draw.draw(sizes, label="n"))
+        if b is None:
+            args, build, count = (from_bits(a), n), build_self_ensemble, n - 1
+        else:
+            args, build, count = (from_bits(a), from_bits(b), n), build_pair_ensemble, n
+        with forced("loop"):
+            serial = build(*args).values
+        with forced("split"), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            split = build(*args).values
+        # this process takes the first range, a child each other one
+        assert fork.call_count == max(min(count, SPLIT_CPUS) - 1, 0)
+        assert split == serial
+        assert list(split) == naive_distances(a, a if b is None else b, range(n))
+        if b is None:
+            a_bits = from_bits(a)
+            assert split == tuple(shift_xor_distance(a_bits, k) for k in range(n))
+        assert_no_children()
+
+    def test_full_split_fills_the_pipes(self):
+        # each child sends about 80 KB of int64 distances, more than a
+        # Linux pipe holds (64 KB), so it blocks until the parent, done
+        # with its own range, reads
+        b = random_bitstring(30011, 0.5, 12)
+        with forced("split"):
+            vals = build_self_ensemble(b).values
+        with forced("product"):
+            assert vals == build_self_ensemble(b).values
+        assert sum(vals) == full_sum(b.nbits, b.ones, b.ones)
+        assert_no_children()
+
+    def test_failed_child_raises_and_is_reaped(self):
+        def fail(vals):
+            raise RuntimeError("worker fault")
+
+        b = random_bitstring(301, 0.5, 3)
+        with forced("split"), in_children(fail):
+            # ranges 1..20, 21..40 and 41..60: the first child fails first
+            with pytest.raises(
+                ExactnessCheckFailed, match=r"shifts 21\.\.40 exited with status 1"
+            ):
+                build_self_ensemble(b, 61)
+        assert_no_children()
+
+    def test_child_exit_status_is_checked(self):
+        # every distance arrives, but the child then exits non-zero
+        real_exit = os._exit
+        parent = os.getpid()
+
+        def exit_three(status):
+            real_exit(3 if os.getpid() != parent else status)
+
+        b = random_bitstring(301, 0.5, 3)
+        with forced("split"), mock.patch.object(os, "_exit", exit_three):
+            with pytest.raises(
+                ExactnessCheckFailed, match="status 3 after sending 160 of 160 bytes"
+            ):
+                build_self_ensemble(b, 61)
+        assert_no_children()
+
+    def test_busy_children_are_killed_on_failure(self):
+        # the first child fails at once; the second would run for a minute
+        parent = os.getpid()
+        loop = ensemble._shift_distances
+
+        def shift_distances(a_ext, b_ext, length, start, stop):
+            if os.getpid() != parent:
+                if start == 21:
+                    raise RuntimeError("worker fault")
+                time.sleep(60)
+            return loop(a_ext, b_ext, length, start, stop)
+
+        b = random_bitstring(301, 0.5, 3)
+        began = time.monotonic()
+        with forced("split"), mock.patch.object(
+            ensemble, "_shift_distances", shift_distances
+        ):
+            with pytest.raises(ExactnessCheckFailed, match=r"shifts 21\.\.40"):
+                build_self_ensemble(b, 61)
+        assert time.monotonic() - began < 30
+        assert_no_children()
+
+    def test_short_child_result_raises(self):
+        b = random_bitstring(301, 0.5, 3)
+        with forced("split"), in_children(lambda vals: vals[:-1]):
+            with pytest.raises(
+                ExactnessCheckFailed, match="status 0 after sending 152 of 160 bytes"
+            ):
+                build_self_ensemble(b, 61)
+        assert_no_children()
+
+    def test_child_out_of_range_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "r.bin"
+        path.write_bytes(random.Random(2).randbytes(64))
+        with forced("split"), in_children(lambda vals: [-2] * len(vals)):
+            rc = main(["analyze", str(path), "--ensemble", "40", "--format", "json"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exactness check" in captured.err and "outside" in captured.err
+        assert_no_children()
+
+    def test_no_fork_while_another_thread_runs(self):
+        b = random_bitstring(301, 0.5, 5)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            with forced("split"), mock.patch.object(
+                os, "fork", side_effect=AssertionError("forked")
+            ) as fork:
+                vals = build_self_ensemble(b, 100).values
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert not fork.called
+        assert vals == tuple(shift_xor_distance(b, n) for n in range(100))
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    @pytest.mark.parametrize("bits", ["0" * 37, "1" * 37, "0110" * 9 + "1"])
+    def test_self_match_is_not_computed(self, bits, n):
+        b = from_bits(bits)
+        with forced("loop"), mock.patch.object(
+            ensemble, "_shift_distances", wraps=ensemble._shift_distances
+        ) as loop, mock.patch.object(ensemble, "_tile", wraps=ensemble._tile) as tile:
+            self_vals = build_self_ensemble(b, n).values
+            pair_vals = build_pair_ensemble(b, b, n).values
+        # self mode starts at shift 1 and, with one shift, builds nothing;
+        # pair mode computes shift 0 as popcount(a ^ b)
+        starts = [c.args[3] for c in loop.call_args_list]
+        assert starts == ([1] if n > 1 else []) + [0]
+        assert tile.call_count == (2 if n > 1 else 0) + 2
+        assert self_vals == pair_vals == tuple(naive_distances(bits, bits, range(n)))
