@@ -15,7 +15,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-from math import lcm
+from math import gcd, lcm
 
 from .bitstring import BitString
 from .errors import ExactnessCheckFailed, InvalidEnsembleSize, PairTooLarge
@@ -36,7 +36,9 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # Against the three-pass loop on one CPU it was 25-66 at widths 3 and 5;
 # with the loop split over two CPUs it was 25-63 up to L = 2**17 and
 # 55-125 at L = 2**19..2**20, the higher values when the host kept the
-# second CPU free (same machine)
+# second CPU free (same machine).  All of these are self ensembles, whose
+# operands hold one slot per bit; _use_product scales the bound to the g
+# slots of a pair
 _PRODUCT_SHIFTS = 50
 
 # the shift loop is split across CPUs from this many shifted bits (shifts
@@ -111,7 +113,10 @@ def _build(
 
     Observation n is ``ones_a + ones_b - 2*C(n)``, where ``C(n) = sum_i
     a_i * b_(i+n mod length)`` is the cyclic cross-correlation of the
-    extensions.
+    extensions.  Only the distinct observations are computed: C(n)
+    depends on n only modulo g = gcd(a.nbits, b.nbits), and a self
+    ensemble is mirror-symmetric, d(n) = d(length - n), so its shifts
+    0..length//2 are enough.
     """
     if n_shifts is None:
         n_shifts = length
@@ -119,33 +124,53 @@ def _build(
         raise InvalidEnsembleSize(
             f"ensemble size must be in [1, {length}], got {n_shifts}"
         )
+    period = gcd(a.nbits, b.nbits)
     ones_a = a.ones * (length // a.nbits)
     ones_b = b.ones * (length // b.nbits)
     max_distance = min(ones_a + ones_b, 2 * length - ones_a - ones_b)
-    # no correlation exceeds the smaller set-bit count
+    # no correlation, and no count of set bits per residue modulo the
+    # period, exceeds the smaller set-bit count unless that count is 0,
+    # and then one operand and the product are 0
     width = len(str(min(ones_a, ones_b)))
-    if _use_product(n_shifts, length, width):
-        vals = _product_distances(
-            _bits(a, length), _bits(b, length), ones_a + ones_b, width
+    distinct = length // 2 + 1 if mode == SELF_MODE else period
+    shifts = min(n_shifts, distinct)
+    if _use_product(shifts, length, period, width):
+        block = _product_distances(
+            _folded_slots(a.to_bits().encode()[::-1], period, width),
+            _folded_slots(b.to_bits().encode(), period, width),
+            period,
+            distinct,
+            ones_a + ones_b,
+            width,
         )
     else:
         # observation 0 of a self ensemble is the self-match
         first = 1 if mode == SELF_MODE else 0
-        vals = (0,) * first + _loop_distances(a, b, length, first, n_shifts)
-    _check_exact(vals, length, ones_a, ones_b, max_distance)
-    return Ensemble(vals[:n_shifts], length, mode, max_distance)
+        block = (0,) * first + _loop_distances(a, b, length, first, shifts)
+    whole = len(block) == distinct
+    cycle = block
+    if whole and mode == SELF_MODE:
+        # the shifts past length//2 mirror those below it
+        cycle += block[(length + 1) // 2 - 1 : 0 : -1]
+    _check_exact(block, cycle if whole else None, length, ones_a, ones_b, max_distance)
+    values = (cycle * -(-n_shifts // len(cycle)))[:n_shifts]
+    return Ensemble(values, length, mode, max_distance)
 
 
-def _use_product(n_shifts: int, length: int, width: int) -> bool:
-    """True when one exact product with ``width``-digit slots is cheaper
-    than ``n_shifts`` rotations.
+def _use_product(shifts: int, length: int, slots: int, width: int) -> bool:
+    """True when one exact product of two ``slots``-slot operands with
+    ``width``-digit slots is cheaper than ``shifts`` rotations of
+    ``length`` bits.
 
     A rotation costs O(length); the product costs O(D log D) in its D =
-    width*length digits.  The crossover is therefore a fixed number of
-    shifts per digit slot and bit of ``length``.  The decode reads at
-    most 8 digits per slot.
+    width*slots digits.  The crossover is therefore a fixed number of
+    shifted bits per digit, slot and bit of ``slots``.  The decode reads
+    at most 8 digits per slot.
     """
-    return width <= 8 and n_shifts > _PRODUCT_SHIFTS * width * length.bit_length()
+    return (
+        width <= 8
+        and shifts * length > _PRODUCT_SHIFTS * width * slots * slots.bit_length()
+    )
 
 
 def _loop_distances(
@@ -183,21 +208,35 @@ def _cpus(shifted_bits: int) -> int:
 def _shift_distances(
     a_ext: int, b_ext: int, length: int, start: int, stop: int
 ) -> list[int]:
-    """One shift, one XOR and one popcount per observation n in
-    [start, stop): O((stop - start) * length).
+    """One shift, one XOR and one popcount over the whole extension per
+    observation n in [start, stop): O((stop - start) * length).
 
-    ``doubled`` holds the extension of b twice, so shifting it right by
-    length - n leaves the extension rotated left by n in the low
-    ``length`` bits; above them sit its n wrapped top bits, whose
-    popcount is subtracted.  Rotating the extension by n equals extending
-    b rotated by n, because b.nbits divides the extension length.
+    ``b_ext << n`` leaves zeros where the extension rotated left by n
+    holds its n wrapped top bits ``w``, and holds ``w`` above ``length``
+    instead.  The popcount of its XOR with ``a_ext`` therefore counts
+    ``lo``, the low n bits of ``a_ext``, in place of ``lo ^ w``, and
+    ``w`` besides; the O(n) terms correct both.  Rotating the extension
+    by n equals extending b rotated by n, because b.nbits divides the
+    extension length.
     """
-    doubled = (b_ext << length) | b_ext
-    return [
-        (a_ext ^ (doubled >> (length - n))).bit_count()
-        - (b_ext >> (length - n)).bit_count()
-        for n in range(start, stop)
-    ]
+    # glibc's malloc maps each block at or above its dynamic threshold
+    # afresh, so every page of it faults on first touch, and raises the
+    # threshold to the size of any mapped block that is freed.  Freeing one
+    # block about twice the size of a shift's length-bit temporaries first
+    # lets them come from the heap: 9 instead of 500 page faults a shift
+    # at length 2**23
+    bytes(length // 4)
+    vals = []
+    for n in range(start, stop):
+        w = b_ext >> (length - n)
+        lo = a_ext & ((1 << n) - 1)
+        vals.append(
+            (a_ext ^ (b_ext << n)).bit_count()
+            - w.bit_count()
+            - lo.bit_count()
+            + (lo ^ w).bit_count()
+        )
+    return vals
 
 
 def _forked_distances(
@@ -267,12 +306,7 @@ def _tile(b: BitString, length: int) -> int:
     """Integer value of ``b`` repeated out to ``length`` bits."""
     if length == b.nbits:
         return b.value
-    return int(_bits(b, length), 2)
-
-
-def _bits(b: BitString, length: int) -> bytes:
-    """ASCII '0'/'1' reading-order bits of ``b`` repeated out to ``length``."""
-    return b.to_bits().encode() * (length // b.nbits)
+    return int(b.to_bits() * (length // b.nbits), 2)
 
 
 def _slots(bits: bytes, width: int) -> Decimal:
@@ -280,6 +314,24 @@ def _slots(bits: bytes, width: int) -> Decimal:
     buf = bytearray(b"0" * (width * len(bits)))
     buf[width - 1 :: width] = bits
     return Decimal(buf.decode())
+
+
+def _folded_slots(bits: bytes, period: int, width: int) -> Decimal:
+    """The integer whose ``period`` slots of ``width`` digits hold the
+    number of set bits among ``bits`` at each position modulo ``period``,
+    position 0 highest.
+
+    It adds up the period-long chunks as slot integers, or counts each
+    residue class, whichever takes fewer Python-level steps.
+    """
+    if len(bits) // period > period:
+        return Decimal(
+            "".join(f"{bits[r::period].count(49):0{width}}" for r in range(period))
+        )
+    folded = _slots(bits[:period], width)
+    for start in range(period, len(bits), period):
+        folded = _EXACT.add(folded, _slots(bits[start : start + period], width))
+    return folded
 
 
 class _DistanceTable(dict):
@@ -297,28 +349,37 @@ class _DistanceTable(dict):
 
 
 def _product_distances(
-    a_bits: bytes, b_bits: bytes, total_ones: int, width: int
+    a_slots: Decimal,
+    b_slots: Decimal,
+    period: int,
+    count: int,
+    total_ones: int,
+    width: int,
 ) -> tuple[int, ...]:
-    """All distances d(0..L-1) from one exact product (Kronecker substitution).
+    """Distances d(0..count-1) from one exact product of two ``period``-slot
+    operands (Kronecker substitution).
 
-    With x = 10**width, P = sum_i a_i x**i holds ``a`` reversed and
-    Q = sum_j b_j x**(L-1-j) holds ``b`` in reading order.  Term a_i*b_j
-    lands in slot L-1+i-j, and folding slots L..2L-1 onto 0..L-1 (x**L = 1
-    modulo x**L - 1) leaves C(n) in slot L-1-n: the n-th slot of the
-    folded digit string, read from the left.  No slot exceeds the smaller
-    set-bit count, which the caller sized ``width`` to, so nothing carries
-    between slots.
+    With x = 10**width, ``a_slots`` = sum_r A(r) x**r holds the set-bit
+    counts A(r) of ``a`` per residue r modulo ``period``, reversed, and
+    ``b_slots`` = sum_s B(s) x**(period-1-s) those of ``b`` in reading
+    order (``_folded_slots``).  Term A(r)*B(s) lands in slot
+    period-1+r-s, and folding slots period..2*period-1 onto 0..period-1
+    (x**period = 1 modulo x**period - 1) leaves C(n) = sum_r A(r)*B((r+n)
+    mod period) in slot period-1-n: the n-th slot of the folded digit
+    string, read from the left.  That is the correlation of the
+    extensions, which depends on the shift only modulo ``period``.  No
+    slot exceeds the smaller set-bit count, which the caller sized
+    ``width`` to, so nothing carries between slots.
     """
-    length = len(a_bits)
-    digits = width * length
-    prod = _EXACT.multiply(_slots(a_bits[::-1], width), _slots(b_bits, width))
+    digits = width * period
+    prod = _EXACT.multiply(a_slots, b_slots)
     high = _EXACT.shift(prod, -digits)
     folded = _EXACT.add(high, _EXACT.subtract(prod, _EXACT.shift(high, digits)))
-    text = str(folded).zfill(digits).encode()
+    text = str(folded).zfill(digits)[: width * count].encode()
     # memoryview casts 4- or 8-byte cells; widen other slots into them
     cell = 4 if width <= 4 else 8
     if width != cell:
-        cells = bytearray(b"0") * (cell * length)
+        cells = bytearray(b"0") * (cell * count)
         for j in range(width):
             cells[cell - width + j :: cell] = text[j::width]
         text = cells
@@ -327,15 +388,25 @@ def _product_distances(
 
 
 def _check_exact(
-    vals: tuple[int, ...], length: int, ones_a: int, ones_b: int, max_distance: int
+    block: tuple[int, ...],
+    cycle: tuple[int, ...] | None,
+    length: int,
+    ones_a: int,
+    ones_b: int,
+    max_distance: int,
 ) -> None:
-    """Raise unless the distances meet their exact integer identities: the
-    range and parity of each, and on a full ensemble their sum."""
+    """Raise unless the computed distances meet their exact integer
+    identities: the range and parity of each in ``block``, and the sum
+    over ``cycle``, one whole period of the ensemble (None when only part
+    of one was computed), which repeats length/len(cycle) times in the
+    full ensemble."""
     problems = []
-    expected_sum = length * (ones_a + ones_b) - 2 * ones_a * ones_b
-    if len(vals) == length and sum(vals) != expected_sum:
-        problems.append(f"sum of distances {sum(vals)} != {expected_sum}")
-    distinct = set(vals)
+    if cycle is not None:
+        expected_sum = length * (ones_a + ones_b) - 2 * ones_a * ones_b
+        total = sum(cycle) * (length // len(cycle))
+        if total != expected_sum:
+            problems.append(f"sum of distances {total} != {expected_sum}")
+    distinct = set(block)
     if min(distinct) < 0 or max(distinct) > max_distance:
         problems.append(f"distances outside [0, {max_distance}]")
     if any((d - ones_a - ones_b) % 2 for d in distinct):

@@ -3,7 +3,7 @@ import os
 import random
 import threading
 import time
-from math import lcm
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -321,7 +321,8 @@ class TestKernelEquivalence:
     )
     def test_slot_width_boundary(self, length, p, seed, shifts):
         b = random_bitstring(length, p, seed)
-        assert ensemble._use_product(length, length, slot_width(b.ones, b.ones))
+        width = slot_width(b.ones, b.ones)
+        assert ensemble._use_product(length // 2 + 1, length, length, width)
         e = build_self_ensemble(b, length)
         bits = b.to_bits()
         shifts = [0, 1, length - 1] + [n % length for n in shifts]
@@ -366,13 +367,18 @@ class TestKernelEquivalence:
             a = b = random_bitstring(8192, p, seed)
             length = 8192
         else:
-            a = random_bitstring(64, p, seed)
-            b = random_bitstring(127, p, seed + 1)
-            length = 64 * 127
+            # g = 1024 < L = 6144: the loop would run min(n, g) shifts of
+            # L bits, against a product of two g-slot operands
+            a = random_bitstring(2048, p, seed)
+            b = random_bitstring(3072, p, seed + 1)
+            length = 6144
+        slots = gcd(a.nbits, b.nbits)
         ones_a = a.ones * (length // a.nbits)
         ones_b = b.ones * (length // b.nbits)
         width = slot_width(ones_a, ones_b)
-        switch = ensemble._PRODUCT_SHIFTS * width * length.bit_length()
+        cost = ensemble._PRODUCT_SHIFTS * width * slots * slots.bit_length()
+        switch = cost // length
+        assert switch + 1 < min(slots, length // 2)
         runs = {}
         for n in (switch - 1, switch, switch + 1):
             with mock.patch.object(
@@ -447,18 +453,152 @@ class TestKernelEquivalence:
         # the 8-digit cells that a natural width reaches only past 10**7
         # set bits, and every widening from 5-7 digits
         length = lcm(len(a), len(b))
-        a_ext = (a * (length // len(a))).encode()
-        b_ext = (b * (length // len(b))).encode()
-        total = a_ext.count(b"1") + b_ext.count(b"1")
-        want = naive_distances(a, b, range(length))
-        bound = slot_width(a_ext.count(b"1"), b_ext.count(b"1"))
-        for width in range(bound, 9):
-            got = ensemble._product_distances(a_ext, b_ext, total, width)
+        period = gcd(len(a), len(b))
+        ones_a = a.count("1") * (length // len(a))
+        ones_b = b.count("1") * (length // len(b))
+        want = naive_distances(a, b, range(period))
+        for width in range(slot_width(ones_a, ones_b), 9):
+            got = ensemble._product_distances(
+                ensemble._folded_slots(a[::-1].encode(), period, width),
+                ensemble._folded_slots(b.encode(), period, width),
+                period,
+                period,
+                ones_a + ones_b,
+                width,
+            )
             assert list(got) == want, width
 
     def test_slot_capacity(self):
-        assert ensemble._use_product(10**9, 2**20, 8)
-        assert not ensemble._use_product(10**9, 2**20, 9)
+        assert ensemble._use_product(10**9, 2**20, 2**20, 8)
+        assert not ensemble._use_product(10**9, 2**20, 2**20, 9)
+
+
+# a pair's lengths are g*p and g*q with p, q coprime, so their gcd is g
+COPRIME = st.tuples(st.integers(2, 9), st.integers(2, 9)).filter(
+    lambda pq: gcd(*pq) == 1
+)
+PAIR_SHAPES = {
+    "g=1": st.tuples(st.just(1), COPRIME),
+    "g=min": st.tuples(st.integers(1, 12), st.sampled_from([(1, 2), (3, 1), (1, 5)])),
+    "g-between": st.tuples(st.integers(2, 6), COPRIME),
+}
+
+
+def ingested(data, order, nbits):
+    """``data`` read in ``order`` and cut to ``nbits``, with its oracle bits."""
+    step = 1 if order == MSB_FIRST else -1
+    bits = "".join(f"{byte:08b}"[::step] for byte in data)[:nbits]
+    return truncate(from_bytes(data, order), nbits), bits
+
+
+def fill(nbits, kind, draw):
+    """Bytes that hold at least ``nbits`` bits: random, all-zero or all-one."""
+    size = -(-nbits // 8)
+    if kind == "random":
+        return draw.draw(st.binary(min_size=size, max_size=size), label="data")
+    return (b"\xff" if kind == "ones" else b"\x00") * size
+
+
+def shifts_of(spy):
+    """Every shift the loop computed, from the calls on a spy of
+    ``_shift_distances``."""
+    return sorted(n for c in spy.call_args_list for n in range(*c.args[3:5]))
+
+
+class TestDistinctBlock:
+    @KERNELS
+    @pytest.mark.parametrize("shape", list(PAIR_SHAPES))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([MSB_FIRST, LSB_FIRST]),
+        st.sampled_from(["1", "g-1", "g", "g+1", "L-1", "L", "any"]),
+        st.data(),
+    )
+    def test_pair_matches_oracle(self, kernel, shape, order, size, draw):
+        g, (p, q) = draw.draw(PAIR_SHAPES[shape], label="g, (p, q)")
+        kinds = st.sampled_from(["random", "random", "zeros", "ones"])
+        a, a_bits = ingested(fill(g * p, draw.draw(kinds), draw), order, g * p)
+        b, b_bits = ingested(fill(g * q, draw.draw(kinds), draw), order, g * q)
+        length = g * p * q
+        assert gcd(a.nbits, b.nbits) == g and lcm(a.nbits, b.nbits) == length
+        shortest = min(a.nbits, b.nbits)
+        assert {"g=1": g == 1, "g=min": g == shortest, "g-between": 1 < g < shortest}[
+            shape
+        ]
+        n = {"1": 1, "g-1": g - 1, "g": g, "g+1": g + 1, "L-1": length - 1}.get(
+            size, length if size == "L" else draw.draw(st.integers(1, length))
+        )
+        n = max(1, n)
+        with forced(kernel):
+            e = build_pair_ensemble(a, b, n)
+        assert list(e.values) == naive_distances(a_bits, b_bits, range(n))
+        assert e.nbits == length
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["ones-zeros", "zeros-ones"])
+    @pytest.mark.parametrize("ones, zeros", [(120, 8), (132, 12)])
+    def test_counts_overflow_beside_a_zero_string(self, ones, zeros, swap):
+        # the all-one string has 15 (counted per residue) or 11 (added up
+        # chunk by chunk) set bits in each residue class, more than the
+        # one-digit slots the zero partner sets hold: the product is 0
+        a, b = from_bits("1" * ones), from_bits("0" * zeros)
+        if swap:
+            a, b = b, a
+        vals, width = product_run(lambda: build_pair_ensemble(a, b))
+        assert width == 1
+        assert vals == (ones,) * ones
+
+    @KERNELS
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 10, 33, 64])
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_mirror(self, kernel, length, draw):
+        bits = draw.draw(bit_strings(length), label="bits")
+        for n in sorted({max(1, length // 2), length // 2 + 1, length}):
+            with forced(kernel):
+                e = build_self_ensemble(from_bits(bits), n)
+            assert list(e.values) == naive_distances(bits, bits, range(n)), n
+
+    @pytest.mark.parametrize("mode", ["self", "pair"])
+    def test_product_gets_the_distinct_block(self, mode):
+        # self: 1001 bits, shifts 0..500 distinct; pair: 2048 x 3072 bits,
+        # g = 1024
+        if mode == "self":
+            a = random_bitstring(1001, 0.5, 3)
+            build, args, period, distinct = build_self_ensemble, (a,), 1001, 501
+        else:
+            a, b = random_bitstring(2048, 0.5, 4), random_bitstring(3072, 0.5, 5)
+            build, args, period, distinct = build_pair_ensemble, (a, b), 1024, 1024
+        with forced("product"), mock.patch.object(
+            ensemble, "_product_distances", wraps=ensemble._product_distances
+        ) as product:
+            vals = build(*args).values
+        a_slots, b_slots, slots, count, _, width = product.call_args.args
+        assert (slots, count) == (period, distinct)
+        for operand in (a_slots, b_slots):
+            assert 0 < operand < 10 ** (width * period)
+        with forced("loop"):
+            assert vals == build(*args).values
+
+    @pytest.mark.parametrize(
+        "mode, n",
+        [("self", n) for n in (1, 2, 50, 51, 52, 101)]
+        + [("pair", n) for n in (1, 99, 100, 101, 299, 300)],
+    )
+    def test_loop_runs_the_distinct_shifts(self, mode, n):
+        # self: 101 bits, shifts 0..50 distinct, 0 not computed; pair:
+        # 100 x 300 bits, L = 300 and g = 100
+        if mode == "self":
+            a = b = random_bitstring(101, 0.5, 6)
+            build, args, first, distinct = build_self_ensemble, (a, n), 1, 51
+        else:
+            a, b = random_bitstring(100, 0.5, 7), random_bitstring(300, 0.5, 8)
+            build, args, first, distinct = build_pair_ensemble, (a, b, n), 0, 100
+        with forced("loop"), mock.patch.object(
+            ensemble, "_shift_distances", wraps=ensemble._shift_distances
+        ) as loop:
+            vals = build(*args).values
+        assert shifts_of(loop) == list(range(first, min(n, distinct)))
+        assert list(vals) == naive_distances(a.to_bits(), b.to_bits(), range(n))
 
 
 def with_ones(length, ones, seed):
@@ -481,7 +621,7 @@ def product_run(build):
         ensemble, "_product_distances", wraps=ensemble._product_distances
     ) as product:
         e = build()
-    (*_, width), _ = product.call_args
+    *_, width = product.call_args.args
     return e.values, width
 
 
@@ -502,35 +642,69 @@ def _corrupt(kind):
     return corrupt
 
 
-class TestExactnessCheck:
-    @pytest.mark.parametrize(
-        "kind, problem",
-        [("sum", "sum of distances"), ("parity", "parity"), ("range", "outside")],
+def corrupt_decode(monkeypatch, kind):
+    decode = ensemble._product_distances
+    monkeypatch.setattr(
+        ensemble,
+        "_product_distances",
+        lambda *args: _corrupt(kind)(decode(*args)),
     )
+
+
+def corrupt_loop(monkeypatch, kind):
+    loop = ensemble._shift_distances
+    monkeypatch.setattr(
+        ensemble,
+        "_shift_distances",
+        lambda *args: list(_corrupt(kind)(loop(*args))),
+    )
+
+
+EXACTNESS_PROBLEMS = pytest.mark.parametrize(
+    "kind, problem",
+    [("sum", "sum of distances"), ("parity", "parity"), ("range", "outside")],
+)
+
+
+class TestExactnessCheck:
+    # a self ensemble is computed up to its mirror: the product decodes,
+    # and the loop runs, shifts 0..L/2 only
+    @EXACTNESS_PROBLEMS
     def test_corrupted_decode_raises(self, kind, problem, monkeypatch):
-        decode = ensemble._product_distances
-        monkeypatch.setattr(
-            ensemble,
-            "_product_distances",
-            lambda *args: _corrupt(kind)(decode(*args)),
-        )
+        corrupt_decode(monkeypatch, kind)
         b = random_bitstring(8192, 0.5, 9)
         with pytest.raises(ExactnessCheckFailed, match=problem):
             build_self_ensemble(b, b.nbits)
 
     def test_corrupted_decode_exits_two(self, monkeypatch, tmp_path, capsys):
-        decode = ensemble._product_distances
-        monkeypatch.setattr(
-            ensemble,
-            "_product_distances",
-            lambda *args: _corrupt("sum")(decode(*args)),
-        )
+        corrupt_decode(monkeypatch, "sum")
         path = tmp_path / "r.bin"
         path.write_bytes(random.Random(1).randbytes(1024))
         assert main(["analyze", str(path), "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exactness check" in captured.err
+
+    # a pair of 8192 x 12288 bits has g = 4096: the product decodes one
+    # period, whose sum is checked against the full-ensemble identity
+    @EXACTNESS_PROBLEMS
+    def test_corrupted_pair_block_raises(self, kind, problem, monkeypatch):
+        corrupt_decode(monkeypatch, kind)
+        a, b = random_bitstring(8192, 0.5, 9), random_bitstring(12288, 0.5, 10)
+        with pytest.raises(ExactnessCheckFailed, match=problem):
+            build_pair_ensemble(a, b)
+
+    def test_corrupted_pair_block_exits_two(self, monkeypatch, tmp_path, capsys):
+        corrupt_decode(monkeypatch, "sum")
+        rng = random.Random(1)
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path, size in zip(paths, (1024, 1536)):
+            path.write_bytes(rng.randbytes(size))
+        argv = ["analyze", str(paths[0]), "--pair", str(paths[1]), "--format", "json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exactness check" in captured.err and "sum of distances" in captured.err
 
     @pytest.mark.parametrize(
         "kind, problem, n",
@@ -543,24 +717,31 @@ class TestExactnessCheck:
         ],
     )
     def test_corrupted_loop_raises(self, kind, problem, n, monkeypatch):
-        loop = ensemble._shift_distances
-        monkeypatch.setattr(
-            ensemble,
-            "_shift_distances",
-            lambda *args: list(_corrupt(kind)(loop(*args))),
-        )
+        corrupt_loop(monkeypatch, kind)
         b = random_bitstring(301, 0.5, 9)
         with forced("loop"), pytest.raises(ExactnessCheckFailed, match=problem):
             build_self_ensemble(b, n)
 
+    # 301 x 602 bits, g = 301: from 301 shifts on the loop has computed a
+    # whole period, so its sum is checked before the full ensemble
+    @pytest.mark.parametrize(
+        "kind, problem, n",
+        [
+            ("sum", "sum of distances", None),
+            ("sum", "sum of distances", 302),
+            ("parity", "parity", 50),
+            ("range", "outside", None),
+        ],
+    )
+    def test_corrupted_pair_loop_raises(self, kind, problem, n, monkeypatch):
+        corrupt_loop(monkeypatch, kind)
+        a, b = random_bitstring(301, 0.5, 9), random_bitstring(602, 0.5, 10)
+        with forced("loop"), pytest.raises(ExactnessCheckFailed, match=problem):
+            build_pair_ensemble(a, b, n)
+
     def test_partial_loop_skips_the_sum(self, monkeypatch):
-        # only a full ensemble has a known sum
-        loop = ensemble._shift_distances
-        monkeypatch.setattr(
-            ensemble,
-            "_shift_distances",
-            lambda *args: list(_corrupt("sum")(loop(*args))),
-        )
+        # only a whole distinct block has a known sum
+        corrupt_loop(monkeypatch, "sum")
         b = random_bitstring(301, 0.5, 9)
         with forced("loop"):
             vals = build_self_ensemble(b, 50).values
@@ -596,10 +777,13 @@ class TestSplitLoop:
         length = len(a) if b is None else lcm(len(a), len(b))
         sizes = st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, length))
         n = min(length, draw.draw(sizes, label="n"))
+        # the loop computes the distinct shifts only, and never the self-match
         if b is None:
-            args, build, count = (from_bits(a), n), build_self_ensemble, n - 1
+            args, build = (from_bits(a), n), build_self_ensemble
+            count = min(n, length // 2 + 1) - 1
         else:
-            args, build, count = (from_bits(a), from_bits(b), n), build_pair_ensemble, n
+            args, build = (from_bits(a), from_bits(b), n), build_pair_ensemble
+            count = min(n, gcd(len(a), len(b)))
         with forced("loop"):
             serial = build(*args).values
         with forced("split"), mock.patch.object(os, "fork", wraps=os.fork) as fork:
@@ -616,13 +800,15 @@ class TestSplitLoop:
     def test_full_split_fills_the_pipes(self):
         # each child sends about 80 KB of int64 distances, more than a
         # Linux pipe holds (64 KB), so it blocks until the parent, done
-        # with its own range, reads
-        b = random_bitstring(30011, 0.5, 12)
+        # with its own range, reads; a pair of equal lengths has no
+        # mirror and no shorter period, so all 30011 shifts are computed
+        a = random_bitstring(30011, 0.5, 12)
+        b = random_bitstring(30011, 0.5, 13)
         with forced("split"):
-            vals = build_self_ensemble(b).values
+            vals = build_pair_ensemble(a, b).values
         with forced("product"):
-            assert vals == build_self_ensemble(b).values
-        assert sum(vals) == full_sum(b.nbits, b.ones, b.ones)
+            assert vals == build_pair_ensemble(a, b).values
+        assert sum(vals) == full_sum(a.nbits, a.ones, b.ones)
         assert_no_children()
 
     def test_failed_child_raises_and_is_reaped(self):
