@@ -224,8 +224,10 @@ def _shift_distances(
     # threshold to the size of any mapped block that is freed.  Freeing one
     # block about twice the size of a shift's length-bit temporaries first
     # lets them come from the heap: 9 instead of 500 page faults a shift
-    # at length 2**23
-    bytes(length // 4)
+    # at length 2**23.  Without it 1 MB --ensemble 64 took 42-67% longer
+    # (ROADMAP.md, "Measured dead ends"); a test guards this line
+    _heap_block = bytes(length // 4)
+    del _heap_block
     vals = []
     for n in range(start, stop):
         w = b_ext >> (length - n)
@@ -319,15 +321,8 @@ def _slots(bits: bytes, width: int) -> Decimal:
 def _folded_slots(bits: bytes, period: int, width: int) -> Decimal:
     """The integer whose ``period`` slots of ``width`` digits hold the
     number of set bits among ``bits`` at each position modulo ``period``,
-    position 0 highest.
-
-    It adds up the period-long chunks as slot integers, or counts each
-    residue class, whichever takes fewer Python-level steps.
+    position 0 highest: the sum of the period-long chunks as slot integers.
     """
-    if len(bits) // period > period:
-        return Decimal(
-            "".join(f"{bits[r::period].count(49):0{width}}" for r in range(period))
-        )
     folded = _slots(bits[:period], width)
     for start in range(period, len(bits), period):
         folded = _EXACT.add(folded, _slots(bits[start : start + period], width))
