@@ -38,7 +38,7 @@ class BitString:
     def __post_init__(self) -> None:
         if self.nbits < 1:
             raise InvalidLength(f"bit length must be >= 1, got {self.nbits}")
-        if not 0 <= self.value < (1 << self.nbits):
+        if self.value < 0 or self.value.bit_length() > self.nbits:
             raise ValueError("value has bits set beyond nbits")
         object.__setattr__(self, "ones", self.value.bit_count())
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -239,6 +240,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+# built once per process: parsing leaves the parser as it was, and
+# parse_args returns a fresh namespace on every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strtherm",

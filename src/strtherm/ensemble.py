@@ -13,8 +13,10 @@ import sys
 import threading
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from functools import cached_property
 from math import gcd, lcm
 
 from .bitstring import BitString
@@ -51,22 +53,36 @@ _FORK_BITS = 1 << 27
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Ordered distance observations plus their provenance.
+    """Distance observations, counted, plus their provenance.
 
-    ``nbits`` is the particle mass: the source bit length in self mode,
-    the lcm of both lengths in pair mode.  ``max_distance`` is the hard
-    upper bound on any observation (2 * min(ones, nbits - ones) in self
-    mode).
+    ``entries`` holds each distinct distance with the number of the
+    ``n_obs`` observations equal to it, ascending.  ``nbits`` is the
+    particle mass: the source bit length in self mode, the lcm of both
+    lengths in pair mode.  ``max_distance`` is the hard upper bound on
+    any observation (2 * min(ones, nbits - ones) in self mode).
+    ``block`` holds the distinct observations, as distances or as cell
+    codes that ``decode`` maps to distances; ``values`` orders them.
     """
 
-    values: tuple[int, ...]
+    entries: tuple[tuple[int, int], ...]
+    n_obs: int
     nbits: int
     mode: str
     max_distance: int
+    block: Sequence[int] = field(repr=False, compare=False)
+    decode: Mapping[int, int] | None = field(repr=False, compare=False)
 
-    @property
-    def n_obs(self) -> int:
-        return len(self.values)
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        """Observations 0..n_obs-1 in shift order, built on first use."""
+        if self.decode is None:
+            cycle = tuple(self.block)
+        else:
+            cycle = tuple(map(self.decode.__getitem__, self.block))
+        if self.mode == SELF_MODE and len(cycle) == self.nbits // 2 + 1:
+            # the shifts past nbits//2 mirror those below it
+            cycle += cycle[(self.nbits + 1) // 2 - 1 : 0 : -1]
+        return (cycle * -(-self.n_obs // len(cycle)))[: self.n_obs]
 
 
 @dataclass(frozen=True)
@@ -135,26 +151,61 @@ def _build(
     distinct = length // 2 + 1 if mode == SELF_MODE else period
     shifts = min(n_shifts, distinct)
     if _use_product(shifts, length, period, width):
-        block = _product_distances(
-            _folded_slots(a.to_bits().encode()[::-1], period, width),
-            _folded_slots(b.to_bits().encode(), period, width),
-            period,
-            distinct,
-            ones_a + ones_b,
-            width,
-        )
+        block = _product_codes(*_operands(a, b, period, width), period, distinct, width)
+        decode = _DistanceTable(ones_a + ones_b, block.itemsize)
     else:
         # observation 0 of a self ensemble is the self-match
         first = 1 if mode == SELF_MODE else 0
         block = (0,) * first + _loop_distances(a, b, length, first, shifts)
-    whole = len(block) == distinct
-    cycle = block
-    if whole and mode == SELF_MODE:
-        # the shifts past length//2 mirror those below it
-        cycle += block[(length + 1) // 2 - 1 : 0 : -1]
-    _check_exact(block, cycle if whole else None, length, ones_a, ones_b, max_distance)
-    values = (cycle * -(-n_shifts // len(cycle)))[:n_shifts]
-    return Ensemble(values, length, mode, max_distance)
+        decode = None
+    counts = _counts(block, decode, mode, length, period, n_shifts)
+    full = None
+    if len(block) == distinct:
+        # a whole distinct block also counts the full ensemble
+        full = counts
+        if n_shifts != length:
+            full = _counts(block, decode, mode, length, period, length)
+    _check_exact(counts, full, length, ones_a, ones_b, max_distance)
+    entries = tuple(sorted(counts.items()))
+    return Ensemble(entries, n_shifts, length, mode, max_distance, block, decode)
+
+
+def _counts(
+    block: Sequence[int],
+    decode: Mapping[int, int] | None,
+    mode: str,
+    length: int,
+    period: int,
+    n_shifts: int,
+) -> Counter:
+    """Distance -> number among observations 0..n_shifts-1, counted on
+    the distinct ``block`` with multiplicity: each entry in a run [start,
+    stop) stands for ``weight`` observations, and an entry in no run for
+    none (the product computes the whole block however few shifts are
+    observed).  Each distinct cell code is decoded once."""
+    if mode == SELF_MODE:
+        # entry j is shift j, and shift length - j as well when that is
+        # below n_shifts and is not j itself
+        lo, hi = length - n_shifts + 1, (length + 1) // 2
+        if lo < hi:
+            runs = [(0, lo, 1), (lo, hi, 2), (hi, len(block), 1)]
+        else:
+            runs = [(0, n_shifts, 1)]
+    else:
+        # entry r is every shift n = r modulo the period
+        repeats, rest = divmod(n_shifts, period)
+        runs = [(0, rest, repeats + 1), (rest, len(block), repeats)]
+    counts = Counter()
+    for start, stop, weight in runs:
+        if weight:
+            for key, count in Counter(block[start:stop]).items():
+                counts[key] += weight * count
+    if decode is None:
+        return counts
+    distances = Counter()
+    for code, count in counts.items():
+        distances[decode[code]] += count
+    return distances
 
 
 def _use_product(shifts: int, length: int, slots: int, width: int) -> bool:
@@ -311,6 +362,18 @@ def _tile(b: BitString, length: int) -> int:
     return int(b.to_bits() * (length // b.nbits), 2)
 
 
+def _operands(
+    a: BitString, b: BitString, period: int, width: int
+) -> tuple[Decimal, Decimal]:
+    """The product's operands: ``a`` reversed and ``b`` in reading order,
+    folded onto ``period`` slots; a self ensemble renders its bits once."""
+    bits = a.to_bits().encode()
+    a_slots = _folded_slots(bits[::-1], period, width)
+    if b is not a:
+        bits = b.to_bits().encode()
+    return a_slots, _folded_slots(bits, period, width)
+
+
 def _slots(bits: bytes, width: int) -> Decimal:
     """The integer whose ``width``-digit slots hold ``bits``, first bit highest."""
     buf = bytearray(b"0" * (width * len(bits)))
@@ -343,16 +406,17 @@ class _DistanceTable(dict):
         return d
 
 
-def _product_distances(
+def _product_codes(
     a_slots: Decimal,
     b_slots: Decimal,
     period: int,
     count: int,
-    total_ones: int,
     width: int,
-) -> tuple[int, ...]:
-    """Distances d(0..count-1) from one exact product of two ``period``-slot
-    operands (Kronecker substitution).
+) -> memoryview:
+    """Codes of the correlations C(0..count-1) from one exact product of
+    two ``period``-slot operands (Kronecker substitution): cell n holds
+    the decimal digits of C(n), right-aligned in 4 or 8 bytes, and
+    ``_DistanceTable`` turns a code into its distance.
 
     With x = 10**width, ``a_slots`` = sum_r A(r) x**r holds the set-bit
     counts A(r) of ``a`` per residue r modulo ``period``, reversed, and
@@ -378,30 +442,28 @@ def _product_distances(
         for j in range(width):
             cells[cell - width + j :: cell] = text[j::width]
         text = cells
-    codes = memoryview(text).cast("I" if cell == 4 else "Q")
-    return tuple(map(_DistanceTable(total_ones, cell).__getitem__, codes))
+    return memoryview(text).cast("I" if cell == 4 else "Q")
 
 
 def _check_exact(
-    block: tuple[int, ...],
-    cycle: tuple[int, ...] | None,
+    counts: Mapping[int, int],
+    full: Mapping[int, int] | None,
     length: int,
     ones_a: int,
     ones_b: int,
     max_distance: int,
 ) -> None:
-    """Raise unless the computed distances meet their exact integer
-    identities: the range and parity of each in ``block``, and the sum
-    over ``cycle``, one whole period of the ensemble (None when only part
-    of one was computed), which repeats length/len(cycle) times in the
-    full ensemble."""
+    """Raise unless the counted distances meet their exact integer
+    identities: the range and parity of each distinct distance, and the
+    sum over ``full``, the counts of the full ensemble (None when only
+    part of one period was computed)."""
     problems = []
-    if cycle is not None:
+    distinct = counts if full is None else full
+    if full is not None:
         expected_sum = length * (ones_a + ones_b) - 2 * ones_a * ones_b
-        total = sum(cycle) * (length // len(cycle))
+        total = sum(d * count for d, count in full.items())
         if total != expected_sum:
             problems.append(f"sum of distances {total} != {expected_sum}")
-    distinct = set(block)
     if min(distinct) < 0 or max(distinct) > max_distance:
         problems.append(f"distances outside [0, {max_distance}]")
     if any((d - ones_a - ones_b) % 2 for d in distinct):
@@ -413,10 +475,8 @@ def _check_exact(
 
 
 def histogram(e: Ensemble) -> Histogram:
-    """Group equal observations; entry order is ascending distance."""
-    counts = Counter(e.values)
-    entries = tuple(sorted(counts.items()))
-    return Histogram(entries, len(e.values), e.nbits, e.max_distance, e.mode)
+    """Equal observations grouped; entry order is ascending distance."""
+    return Histogram(e.entries, e.n_obs, e.nbits, e.max_distance, e.mode)
 
 
 def without_self_match(h: Histogram) -> Histogram:

@@ -14,6 +14,7 @@ refitted from the histogram shape.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .ensemble import Histogram, ensemble_mean
@@ -86,19 +87,33 @@ def binomial_counts(m: EquilibriumModel, c: float) -> float:
     log space so large nbits and fractional arguments are exact to
     double precision.
     """
+    return _binomial_curve(m)(c)
+
+
+def _binomial_curve(m: EquilibriumModel) -> Callable[[float], float]:
+    """``binomial_counts`` of ``m`` as a function of the distance, with
+    every term that does not depend on it computed once."""
     if m.degenerate or m.correction <= 0.0 or not 0.0 < m.density < 1.0:
         raise DegenerateModel("adjusted binomial undefined for degenerate model")
-    if not 0.0 <= c <= m.nbits:
-        raise ValueError(f"distance must be in [0, {m.nbits}], got {c}")
     k = m.correction
-    log_pmf = (
-        math.lgamma(m.nbits / k + 1.0)
-        - math.lgamma(c / k + 1.0)
-        - math.lgamma((m.nbits - c) / k + 1.0)
-        + (c / k) * math.log(m.density)
-        + ((m.nbits - c) / k) * math.log1p(-m.density)
-    )
-    return (2.0 * m.n_obs / k) * math.exp(log_pmf)
+    log_trials = math.lgamma(m.nbits / k + 1.0)
+    log_p = math.log(m.density)
+    log_q = math.log1p(-m.density)
+    scale = 2.0 * m.n_obs / k
+
+    def counts(c: float) -> float:
+        if not 0.0 <= c <= m.nbits:
+            raise ValueError(f"distance must be in [0, {m.nbits}], got {c}")
+        log_pmf = (
+            log_trials
+            - math.lgamma(c / k + 1.0)
+            - math.lgamma((m.nbits - c) / k + 1.0)
+            + (c / k) * log_p
+            + ((m.nbits - c) / k) * log_q
+        )
+        return scale * math.exp(log_pmf)
+
+    return counts
 
 
 def fit_quality(h: Histogram, m: EquilibriumModel) -> float:
@@ -131,10 +146,16 @@ def model_curve(m: EquilibriumModel, max_distance: int) -> list[tuple[int, float
     hi = min(float(max_distance), m.mean_distance + 5.0 * sigma)
     start = 2 * math.ceil(lo / 2.0)
     stop = 2 * math.floor(hi / 2.0)
-    return [
-        (c, normal_counts(m, c), binomial_counts(m, c))
-        for c in range(start, stop + 1, 2)
-    ]
+    if start > stop:
+        return []
+    # normal_counts with its invariants hoisted, in the same float order
+    mean, peak, spread = m.mean_distance, m.peak_count, 2.0 * m.variance
+    binomial = _binomial_curve(m)
+    rows = []
+    for c in range(start, stop + 1, 2):
+        d = c - mean
+        rows.append((c, peak * math.exp(-(d * d) / spread), binomial(c)))
+    return rows
 
 
 def curve_to_csv(rows: list[tuple[int, float, float]]) -> str:

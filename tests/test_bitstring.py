@@ -179,6 +179,14 @@ class TestBitString:
         with pytest.raises(ValueError):
             BitString(0b10000, 4)
 
+    @pytest.mark.parametrize("nbits", [1, 7, 64, 65, 4096])
+    def test_value_range_boundary(self, nbits):
+        # all nbits bits set fits; one bit more, or a negative value, not
+        assert BitString((1 << nbits) - 1, nbits).ones == nbits
+        for value in (1 << nbits, (1 << (nbits + 1)) - 1, -1):
+            with pytest.raises(ValueError, match="value has bits set beyond nbits"):
+                BitString(value, nbits)
+
     def test_bit_indexing(self):
         b = from_bits("0110")
         assert [b.bit(i) for i in range(4)] == [0, 1, 1, 0]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +333,51 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.returncode == 0
+
+    def test_calls_in_one_process_match_each_alone(self, tmp_path):
+        # the parser is built once per process; no call may leave an
+        # option or a default behind for the next one
+        gen_corpus("random", 512, 3, str(tmp_path / "r.bin"))
+        gen_corpus("periodic", 96, 0, str(tmp_path / "p.bin"))
+        (tmp_path / "m.txt").write_text("r.bin\np.bin\n")
+        calls = [
+            ["analyze", "r.bin", "--pair", "p.bin", "--ensemble", "7",
+             "--bit-order", "lsb", "--format", "csv", "--emit-histogram", "h1.csv"],
+            ["batch", "m.txt", "--bits", "100"],
+            ["analyze", "r.bin", "--emit-histogram", "h2.csv"],
+            ["analyze", "r.bin", "--bogus"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from strtherm.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        code = main(argv)\n"
+            "    except SystemExit as exit:\n"
+            "        code = exit.code\n"
+            "    print('exit', code, flush=True)\n"
+            "    print('exit', code, file=sys.stderr, flush=True)\n"
+        )
+
+        env = {**os.environ, "PYTHONPATH": str(Path(st.__file__).parents[1])}
+
+        def run(argvs):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argvs)],
+                capture_output=True, check=True, cwd=tmp_path, env=env,
+            )
+            emitted = {p.name: p.read_bytes() for p in tmp_path.glob("h*.csv")}
+            for p in tmp_path.glob("h*.csv"):
+                p.unlink()
+            return proc.stdout, proc.stderr, emitted
+
+        alone = [run([argv]) for argv in calls]
+        together = run(calls)
+        assert together[0] == b"".join(out for out, _, _ in alone)
+        assert together[1] == b"".join(err for _, err, _ in alone)
+        assert together[2] == {k: v for _, _, e in alone for k, v in e.items()}
+        assert together[2].keys() == {"h1.csv", "h2.csv"}
+        assert b"exit 2" in together[1]
 
     def test_console_script_help(self):
         proc = subprocess.run(

@@ -3,6 +3,7 @@ import os
 import random
 import threading
 import time
+from collections import Counter
 from math import gcd, lcm
 from unittest import mock
 
@@ -20,7 +21,7 @@ from strtherm.bitstring import (
     shift_xor_distance,
     truncate,
 )
-from strtherm.cli import main
+from strtherm.cli import AnalysisConfig, analyze, main
 from strtherm.ensemble import (
     Ensemble,
     Histogram,
@@ -178,16 +179,18 @@ class TestHistogram:
             h = histogram(build_self_ensemble(b, m))
             assert len(h.entries) <= 1 + min(b.ones, m - b.ones)
 
-    @given(st.permutations(list(range(8))))
-    def test_permutation_invariance(self, order):
-        base = build_self_ensemble(from_bits("01101001"), 8)
-        shuffled = Ensemble(
-            tuple(base.values[i] for i in order),
-            base.nbits,
-            base.mode,
-            base.max_distance,
-        )
-        assert histogram(shuffled).entries == histogram(base).entries
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.text(alphabet="01", min_size=1, max_size=24),
+        st.text(alphabet="01", min_size=1, max_size=24),
+    )
+    def test_permutation_invariance(self, a, b):
+        # swapping the operands reverses the order of the observations:
+        # d_ba(n) = d_ab(-n mod L), so the histogram stays
+        ab = build_pair_ensemble(from_bits(a), from_bits(b))
+        ba = build_pair_ensemble(from_bits(b), from_bits(a))
+        assert ba.values == ab.values[:1] + ab.values[:0:-1]
+        assert histogram(ba) == histogram(ab)
 
 
 class TestEnsembleMean:
@@ -382,7 +385,7 @@ class TestKernelEquivalence:
         runs = {}
         for n in (switch - 1, switch, switch + 1):
             with mock.patch.object(
-                ensemble, "_product_distances", wraps=ensemble._product_distances
+                ensemble, "_product_codes", wraps=ensemble._product_codes
             ) as product:
                 if mode == "self":
                     runs[n] = build_self_ensemble(a, n).values
@@ -458,15 +461,15 @@ class TestKernelEquivalence:
         ones_b = b.count("1") * (length // len(b))
         want = naive_distances(a, b, range(period))
         for width in range(slot_width(ones_a, ones_b), 9):
-            got = ensemble._product_distances(
+            codes = ensemble._product_codes(
                 ensemble._folded_slots(a[::-1].encode(), period, width),
                 ensemble._folded_slots(b.encode(), period, width),
                 period,
                 period,
-                ones_a + ones_b,
                 width,
             )
-            assert list(got) == want, width
+            decode = ensemble._DistanceTable(ones_a + ones_b, codes.itemsize)
+            assert [decode[code] for code in codes] == want, width
 
     def test_slot_capacity(self):
         assert ensemble._use_product(10**9, 2**20, 2**20, 8)
@@ -568,10 +571,10 @@ class TestDistinctBlock:
             a, b = random_bitstring(2048, 0.5, 4), random_bitstring(3072, 0.5, 5)
             build, args, period, distinct = build_pair_ensemble, (a, b), 1024, 1024
         with forced("product"), mock.patch.object(
-            ensemble, "_product_distances", wraps=ensemble._product_distances
+            ensemble, "_product_codes", wraps=ensemble._product_codes
         ) as product:
             vals = build(*args).values
-        a_slots, b_slots, slots, count, _, width = product.call_args.args
+        a_slots, b_slots, slots, count, width = product.call_args.args
         assert (slots, count) == (period, distinct)
         for operand in (a_slots, b_slots):
             assert 0 < operand < 10 ** (width * period)
@@ -599,6 +602,56 @@ class TestDistinctBlock:
         assert shifts_of(loop) == list(range(first, min(n, distinct)))
         assert list(vals) == naive_distances(a.to_bits(), b.to_bits(), range(n))
 
+    @pytest.mark.parametrize("kernel", ["product", "loop"])
+    @pytest.mark.parametrize("mode", ["self", "pair"])
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_counted_with_multiplicity(self, kernel, mode, draw):
+        # each entry of the distinct block counts once per observation it
+        # stands for: a self shift and its mirror, a pair residue once
+        # per period and once more below n % g
+        a_bits = draw.draw(st.integers(1, 24).flatmap(bit_strings), label="a")
+        if mode == "self":
+            b_bits, length = a_bits, len(a_bits)
+            sizes = [length // 2, length // 2 + 1, length // 2 + 2]
+        else:
+            b_bits = draw.draw(st.integers(1, 24).flatmap(bit_strings), label="b")
+            length, g = lcm(len(a_bits), len(b_bits)), gcd(len(a_bits), len(b_bits))
+            # above g and, for g > 1, not a multiple of it
+            periods = draw.draw(st.integers(1, length // g), label="periods")
+            rest = draw.draw(st.integers(1, max(1, g - 1)), label="rest")
+            sizes = [g, g + 1, g * periods + rest]
+        sizes += [1, length - 1, length, draw.draw(st.integers(1, length), label="n")]
+        n = min(max(1, draw.draw(st.sampled_from(sizes), label="size")), length)
+        a = from_bits(a_bits)
+        with forced(kernel):
+            if mode == "self":
+                e = build_self_ensemble(a, n)
+            else:
+                e = build_pair_ensemble(a, from_bits(b_bits), n)
+        want = tuple(sorted(Counter(naive_distances(a_bits, b_bits, range(n))).items()))
+        h = histogram(e)
+        assert h.entries == want
+        assert h.entries == tuple(sorted(Counter(e.values).items()))
+        assert h.n_obs == len(e.values) == n
+
+    def test_analyze_never_builds_values(self, tmp_path):
+        # 1 KB x 1025 B: g = 8 distinct distances stand for L = 8396800
+        # observations, which the report counts without listing them
+        rng = random.Random(5)
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path, size in zip(paths, (1024, 1025)):
+            path.write_bytes(rng.randbytes(size))
+
+        def listed(e):
+            raise AssertionError("the observations were listed")
+
+        with mock.patch.object(Ensemble, "values", property(listed)):
+            result = analyze(AnalysisConfig(inputs=tuple(map(str, paths))))
+        assert result.hist.n_obs == 8396800
+        assert sum(count for _, count in result.hist.entries) == 8396800
+        assert len(result.hist.entries) <= 8
+
 
 def with_ones(length, ones, seed):
     """A '0'/'1' string of ``length`` with exactly ``ones`` set bits."""
@@ -617,7 +670,7 @@ def product_run(build):
     """Run ``build`` on the product kernel: its values and the slot width
     the product was called with."""
     with forced("product"), mock.patch.object(
-        ensemble, "_product_distances", wraps=ensemble._product_distances
+        ensemble, "_product_codes", wraps=ensemble._product_codes
     ) as product:
         e = build()
     *_, width = product.call_args.args
@@ -642,12 +695,17 @@ def _corrupt(kind):
 
 
 def corrupt_decode(monkeypatch, kind):
-    decode = ensemble._product_distances
-    monkeypatch.setattr(
-        ensemble,
-        "_product_distances",
-        lambda *args: _corrupt(kind)(decode(*args)),
-    )
+    """Corrupt the distance that the first cell code the product decodes
+    (that of shift 0) stands for, in every observation it counts."""
+    decode = ensemble._DistanceTable.__missing__
+
+    def corrupted(table, code):
+        d = decode(table, code)
+        if len(table) == 1:
+            d = table[code] = {"sum": d + 2, "parity": d + 1, "range": -2}[kind]
+        return d
+
+    monkeypatch.setattr(ensemble._DistanceTable, "__missing__", corrupted)
 
 
 def corrupt_loop(monkeypatch, kind):
@@ -666,8 +724,8 @@ EXACTNESS_PROBLEMS = pytest.mark.parametrize(
 
 
 class TestExactnessCheck:
-    # a self ensemble is computed up to its mirror: the product decodes,
-    # and the loop runs, shifts 0..L/2 only
+    # a self ensemble is computed up to its mirror: the product decodes
+    # the distinct codes of, and the loop runs, shifts 0..L/2 only
     @EXACTNESS_PROBLEMS
     def test_corrupted_decode_raises(self, kind, problem, monkeypatch):
         corrupt_decode(monkeypatch, kind)
@@ -684,8 +742,9 @@ class TestExactnessCheck:
         assert captured.out == ""
         assert "exactness check" in captured.err
 
-    # a pair of 8192 x 12288 bits has g = 4096: the product decodes one
-    # period, whose sum is checked against the full-ensemble identity
+    # a pair of 8192 x 12288 bits has g = 4096: the product decodes the
+    # codes of one period, whose counts, L/g each, are checked against
+    # the full-ensemble sum
     @EXACTNESS_PROBLEMS
     def test_corrupted_pair_block_raises(self, kind, problem, monkeypatch):
         corrupt_decode(monkeypatch, kind)

@@ -212,6 +212,40 @@ class TestModelCurve:
         assert float(nrm) == rows[0][1]
         assert float(binom) == rows[0][2]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_match_the_pointwise_formula(self, seed):
+        # the curve hoists what each row shares; every row must still be
+        # the bit-identical float of the per-point formula
+        def normal(m, c):
+            d = c - m.mean_distance
+            return m.peak_count * math.exp(-(d * d) / (2.0 * m.variance))
+
+        def binomial(m, c):
+            k = m.correction
+            log_pmf = (
+                math.lgamma(m.nbits / k + 1.0)
+                - math.lgamma(c / k + 1.0)
+                - math.lgamma((m.nbits - c) / k + 1.0)
+                + (c / k) * math.log(m.density)
+                + ((m.nbits - c) / k) * math.log1p(-m.density)
+            )
+            return (2.0 * m.n_obs / k) * math.exp(log_pmf)
+
+        rng = random.Random(seed)
+        # K = 1 - sqrt(|1 - 2 density|) nears 0 as the density nears 0 or 1,
+        # and 1 as it nears 1/2
+        densities = [0.5 - 1e-9, 0.5 + 1e-6, 0.4999, 1e-6, 0.003, 1 - 1e-6, 0.997]
+        densities += [rng.random() for _ in range(20)]
+        for density in densities:
+            nbits = rng.choice([8, 64, 1001, 8192, 131072, 2**23])
+            m = fit_from_mean(density * nbits, nbits, rng.randint(1, nbits))
+            if m.degenerate:
+                continue
+            rows = model_curve(m, nbits)
+            assert rows == [(c, normal(m, c), binomial(m, c)) for c, _, _ in rows]
+            points = [(normal_counts(m, c), binomial_counts(m, c)) for c, _, _ in rows]
+            assert points == [row[1:] for row in rows]
+
     def test_degenerate_has_no_curve(self):
         h = full_histogram(from_bits("00000000"))
         with pytest.raises(DegenerateModel):
