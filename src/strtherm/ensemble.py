@@ -13,7 +13,7 @@ import sys
 import threading
 from array import array
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import cached_property
@@ -52,25 +52,32 @@ _FORK_BITS = 1 << 27
 
 
 @dataclass(frozen=True)
-class Ensemble:
-    """Distance observations, counted, plus their provenance.
+class Histogram:
+    """Distance observations, counted.
 
     ``entries`` holds each distinct distance with the number of the
     ``n_obs`` observations equal to it, ascending.  ``nbits`` is the
     particle mass: the source bit length in self mode, the lcm of both
     lengths in pair mode.  ``max_distance`` is the hard upper bound on
     any observation (2 * min(ones, nbits - ones) in self mode).
-    ``block`` holds the distinct observations, as distances or as cell
-    codes that ``decode`` maps to distances; ``values`` orders them.
     """
 
     entries: tuple[tuple[int, int], ...]
     n_obs: int
     nbits: int
-    mode: str
     max_distance: int
-    block: Sequence[int] = field(repr=False, compare=False)
-    decode: Mapping[int, int] | None = field(repr=False, compare=False)
+    mode: str = SELF_MODE
+
+
+@dataclass(frozen=True)
+class Ensemble(Histogram):
+    """The histogram of a shift-XOR ensemble, with the distinct
+    observations it was counted from: ``block`` holds them, as distances
+    or as cell codes that ``decode`` maps to distances; ``values`` orders
+    them."""
+
+    block: Sequence[int] = field(kw_only=True, repr=False, compare=False)
+    decode: Mapping[int, int] | None = field(kw_only=True, repr=False, compare=False)
 
     @cached_property
     def values(self) -> tuple[int, ...]:
@@ -83,17 +90,6 @@ class Ensemble:
             # the shifts past nbits//2 mirror those below it
             cycle += cycle[(self.nbits + 1) // 2 - 1 : 0 : -1]
         return (cycle * -(-self.n_obs // len(cycle)))[: self.n_obs]
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Distinct distance values with occurrence counts, sorted ascending."""
-
-    entries: tuple[tuple[int, int], ...]
-    n_obs: int
-    nbits: int
-    max_distance: int
-    mode: str = SELF_MODE
 
 
 def build_self_ensemble(b: BitString, n_shifts: int | None = None) -> Ensemble:
@@ -158,16 +154,15 @@ def _build(
         first = 1 if mode == SELF_MODE else 0
         block = (0,) * first + _loop_distances(a, b, length, first, shifts)
         decode = None
-    counts = _counts(block, decode, mode, length, period, n_shifts)
-    full = None
-    if len(block) == distinct:
-        # a whole distinct block also counts the full ensemble
-        full = counts
-        if n_shifts != length:
-            full = _counts(block, decode, mode, length, period, length)
-    _check_exact(counts, full, length, ones_a, ones_b, max_distance)
+    counts, total = _counts(block, decode, mode, length, period, n_shifts)
+    # the loop computes observed shifts only; the product decodes every
+    # code of its whole block, observed or not
+    distances = counts if decode is None else decode.values()
+    _check_exact(distances, total, length, ones_a, ones_b, max_distance)
     entries = tuple(sorted(counts.items()))
-    return Ensemble(entries, n_shifts, length, mode, max_distance, block, decode)
+    return Ensemble(
+        entries, n_shifts, length, max_distance, mode, block=block, decode=decode
+    )
 
 
 def _counts(
@@ -177,35 +172,41 @@ def _counts(
     length: int,
     period: int,
     n_shifts: int,
-) -> Counter:
-    """Distance -> number among observations 0..n_shifts-1, counted on
-    the distinct ``block`` with multiplicity: each entry in a run [start,
-    stop) stands for ``weight`` observations, and an entry in no run for
-    none (the product computes the whole block however few shifts are
-    observed).  Each distinct cell code is decoded once."""
+) -> tuple[Counter, int | None]:
+    """Distance -> number among observations 0..n_shifts-1, and the sum
+    of the full ensemble's distances if ``block`` is the whole distinct
+    block, else None.
+
+    Block entry j stands for ``weight(j, n)`` of observations 0..n-1; the
+    weights for n_shifts and for the full ensemble are constant between
+    consecutive ``cuts``, so each piece is counted once and each distinct
+    cell code decoded once.  An entry of the product's whole block that
+    no observation shares weighs 0 for n_shifts.
+    """
     if mode == SELF_MODE:
-        # entry j is shift j, and shift length - j as well when that is
-        # below n_shifts and is not j itself
-        lo, hi = length - n_shifts + 1, (length + 1) // 2
-        if lo < hi:
-            runs = [(0, lo, 1), (lo, hi, 2), (hi, len(block), 1)]
-        else:
-            runs = [(0, n_shifts, 1)]
+        # entry j is shift j, and shift length - j as well unless that is j
+        def weight(j: int, n: int) -> int:
+            return (j < n) + (length - j < n and 2 * j != length)
+
+        cuts = {1, n_shifts, length - n_shifts + 1, (length + 1) // 2}
+        whole = len(block) == length // 2 + 1
     else:
-        # entry r is every shift n = r modulo the period
-        repeats, rest = divmod(n_shifts, period)
-        runs = [(0, rest, repeats + 1), (rest, len(block), repeats)]
-    counts = Counter()
-    for start, stop, weight in runs:
-        if weight:
-            for key, count in Counter(block[start:stop]).items():
-                counts[key] += weight * count
-    if decode is None:
-        return counts
-    distances = Counter()
-    for code, count in counts.items():
-        distances[decode[code]] += count
-    return distances
+        # entry j is every shift congruent to j modulo the period
+        def weight(j: int, n: int) -> int:
+            return n // period + (j < n % period)
+
+        cuts = {n_shifts % period}
+        whole = len(block) == period
+    bounds = sorted({0, len(block)} | {c for c in cuts if 0 < c < len(block)})
+    counts, total = Counter(), 0
+    for start, stop in zip(bounds, bounds[1:]):
+        observed, every = weight(start, n_shifts), weight(start, length)
+        for key, count in Counter(block[start:stop]).items():
+            d = key if decode is None else decode[key]
+            if observed:
+                counts[d] += observed * count
+            total += every * count * d
+    return counts, total if whole else None
 
 
 def _use_product(shifts: int, length: int, slots: int, width: int) -> bool:
@@ -446,27 +447,25 @@ def _product_codes(
 
 
 def _check_exact(
-    counts: Mapping[int, int],
-    full: Mapping[int, int] | None,
+    distances: Collection[int],
+    total: int | None,
     length: int,
     ones_a: int,
     ones_b: int,
     max_distance: int,
 ) -> None:
-    """Raise unless the counted distances meet their exact integer
-    identities: the range and parity of each distinct distance, and the
-    sum over ``full``, the counts of the full ensemble (None when only
+    """Raise unless the computed distances meet their exact integer
+    identities: the range and parity of each of ``distances``, and
+    ``total``, the sum of the full ensemble's distances (None when only
     part of one period was computed)."""
     problems = []
-    distinct = counts if full is None else full
-    if full is not None:
+    if total is not None:
         expected_sum = length * (ones_a + ones_b) - 2 * ones_a * ones_b
-        total = sum(d * count for d, count in full.items())
         if total != expected_sum:
             problems.append(f"sum of distances {total} != {expected_sum}")
-    if min(distinct) < 0 or max(distinct) > max_distance:
+    if min(distances) < 0 or max(distances) > max_distance:
         problems.append(f"distances outside [0, {max_distance}]")
-    if any((d - ones_a - ones_b) % 2 for d in distinct):
+    if any((d - ones_a - ones_b) % 2 for d in distances):
         problems.append(f"distances of parity other than {(ones_a + ones_b) % 2}")
     if problems:
         raise ExactnessCheckFailed(
@@ -475,8 +474,8 @@ def _check_exact(
 
 
 def histogram(e: Ensemble) -> Histogram:
-    """Equal observations grouped; entry order is ascending distance."""
-    return Histogram(e.entries, e.n_obs, e.nbits, e.max_distance, e.mode)
+    """The histogram of ``e``, which an ``Ensemble`` already is: ``e``."""
+    return e
 
 
 def without_self_match(h: Histogram) -> Histogram:

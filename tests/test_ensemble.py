@@ -5,6 +5,7 @@ import threading
 import time
 from collections import Counter
 from math import gcd, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,7 +33,9 @@ from strtherm.ensemble import (
     histogram_to_csv,
     without_self_match,
 )
+from strtherm.equilibrium import fit
 from strtherm.errors import ExactnessCheckFailed, InvalidEnsembleSize, PairTooLarge
+from strtherm.thermo import build_report
 
 
 class TestSelfEnsemble:
@@ -238,6 +241,58 @@ class TestSerialization:
     def test_csv(self):
         h = histogram(build_self_ensemble(from_bits("0011"), 4))
         assert histogram_to_csv(h) == "C,N_count\n0,1\n2,2\n4,1\n"
+
+
+def plain_histogram(e):
+    return Histogram(e.entries, e.n_obs, e.nbits, e.max_distance, e.mode)
+
+
+def histogram_fields(h):
+    return (h.entries, h.n_obs, h.nbits, h.max_distance, h.mode)
+
+
+ONE_TYPE_BUILDS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_self_ensemble(random_bitstring(4096, 0.5, 21)),
+        lambda: build_self_ensemble(random_bitstring(4096, 0.5, 21), 1000),
+        lambda: build_pair_ensemble(
+            random_bitstring(4096, 0.5, 22), random_bitstring(6144, 0.5, 23)
+        ),
+        lambda: build_pair_ensemble(
+            random_bitstring(4096, 0.5, 22), random_bitstring(6144, 0.5, 23), 1000
+        ),
+    ],
+    ids=["self-full", "self-partial", "pair-full", "pair-partial"],
+)
+
+
+class TestOneType:
+    def test_ensemble_declares_only_its_provenance(self):
+        assert issubclass(Ensemble, Histogram)
+        assert set(Ensemble.__annotations__) == {"block", "decode"}
+
+    @ONE_TYPE_BUILDS
+    def test_ensemble_is_its_histogram(self, build):
+        e = build()
+        assert histogram(e) is e
+        h = plain_histogram(e)
+        assert fit(e) == fit(h)
+        assert build_report(e) == build_report(h)
+        assert histogram_fields(without_self_match(e)) == histogram_fields(
+            without_self_match(h)
+        )
+        assert ensemble_mean(e) == ensemble_mean(h)
+        assert histogram_to_csv(e) == histogram_to_csv(h)
+
+    def test_readme_library_snippet_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "random.bin").write_bytes(random.Random(4).randbytes(512))
+        monkeypatch.chdir(tmp_path)
+        exec(snippet, {})
+        assert capsys.readouterr().out.strip()
 
 
 def naive_distances(a: str, b: str, shifts) -> list[int]:
@@ -796,6 +851,73 @@ class TestExactnessCheck:
         a, b = random_bitstring(301, 0.5, 9), random_bitstring(602, 0.5, 10)
         with forced("loop"), pytest.raises(ExactnessCheckFailed, match=problem):
             build_pair_ensemble(a, b, n)
+
+    # partial product builds: one pass over the whole block gives the
+    # observed counts and the full-ensemble sum.  At L = 8192, n = L/2 + 2
+    # observes the mirror of entry L/2 - 1 only, n = L - 1 every mirror but
+    # that of entry 1; the pair of 8192 x 12288 bits has g = 4096, and at
+    # n = g + 1 entry 0 stands for one observation more than the others
+    @EXACTNESS_PROBLEMS
+    @pytest.mark.parametrize("n", [8192 // 2 + 2, 8192 - 1])
+    def test_corrupted_partial_decode_raises(self, kind, problem, n, monkeypatch):
+        corrupt_decode(monkeypatch, kind)
+        b = random_bitstring(8192, 0.5, 9)
+        with forced("product"), pytest.raises(ExactnessCheckFailed, match=problem):
+            build_self_ensemble(b, n)
+
+    @EXACTNESS_PROBLEMS
+    def test_corrupted_partial_pair_block_raises(self, kind, problem, monkeypatch):
+        corrupt_decode(monkeypatch, kind)
+        a, b = random_bitstring(8192, 0.5, 9), random_bitstring(12288, 0.5, 10)
+        with forced("product"), pytest.raises(ExactnessCheckFailed, match=problem):
+            build_pair_ensemble(a, b, 4096 + 1)
+
+    @pytest.mark.parametrize(
+        "kind, problem", [("parity", "parity"), ("range", "outside")]
+    )
+    def test_unobserved_product_entries_are_checked(self, kind, problem, monkeypatch):
+        # 50 of 8192 shifts on the product, which decodes shifts 0..4096:
+        # only distances that no observed shift has are corrupted
+        b = random_bitstring(8192, 0.5, 9)
+        with forced("product"):
+            e = build_self_ensemble(b, 50)
+        unobserved = set(map(e.decode.__getitem__, e.block)) - set(e.values)
+        assert unobserved
+        decode = ensemble._DistanceTable.__missing__
+
+        def corrupted(table, code):
+            d = decode(table, code)
+            if d in unobserved:
+                d = table[code] = {"parity": d + 1, "range": -2}[kind]
+            return d
+
+        monkeypatch.setattr(ensemble._DistanceTable, "__missing__", corrupted)
+        with forced("product"), pytest.raises(ExactnessCheckFailed, match=problem):
+            build_self_ensemble(b, 50)
+
+    # 4 KB random strings have 5-digit slots; the product weighs its whole
+    # block, the loop counts only the shifts it computed
+    @pytest.mark.parametrize("n", [5000, 32768 // 2 + 1, 32768 // 2 + 2, 32768 - 1])
+    def test_partial_product_entries_match_the_loop(self, n):
+        b = random_bitstring(32768, 0.5, 11)
+        assert slot_width(b.ones, b.ones) == 5
+        with forced("product"):
+            product = build_self_ensemble(b, n)
+        with forced("loop"):
+            loop = build_self_ensemble(b, n)
+        assert product.decode is not None and loop.decode is None
+        assert product.entries == loop.entries
+        assert sum(count for _, count in product.entries) == n
+
+    def test_partial_product_pair_entries_match_the_loop(self):
+        # 4 KB x 6 KB: g = 16384 bits, L = 98304
+        a, b = random_bitstring(32768, 0.5, 12), random_bitstring(49152, 0.5, 13)
+        with forced("product"):
+            product = build_pair_ensemble(a, b, 16384 + 1)
+        with forced("loop"):
+            loop = build_pair_ensemble(a, b, 16384 + 1)
+        assert product.decode is not None and loop.decode is None
+        assert product.entries == loop.entries
 
     def test_partial_loop_skips_the_sum(self, monkeypatch):
         # only a whole distinct block has a known sum
