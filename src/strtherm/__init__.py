@@ -42,7 +42,6 @@ from .errors import (
     InvalidEnsembleSize,
     InvalidLength,
     InvalidShift,
-    PairTooLarge,
     StrthermError,
 )
 from .thermo import (
@@ -72,7 +71,6 @@ __all__ = [
     "InvalidEnsembleSize",
     "InvalidLength",
     "InvalidShift",
-    "PairTooLarge",
     "StrthermError",
     "ThermoReport",
     "binomial_counts",

@@ -20,13 +20,10 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .bitstring import BitString
-from .errors import ExactnessCheckFailed, InvalidEnsembleSize, PairTooLarge
+from .errors import ExactnessCheckFailed, InvalidEnsembleSize
 
 SELF_MODE = "self"
 PAIR_MODE = "pair"
-
-# cap on the lcm extension of a pair; coprime lengths can explode it
-PAIR_CAP_BITS = 1 << 26
 
 # exact integer arithmetic on decimals of any length; libmpdec multiplies
 # long operands with a number-theoretic transform
@@ -43,11 +40,11 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # slots of a pair
 _PRODUCT_SHIFTS = 50
 
-# the shift loop is split across CPUs from this many shifted bits (shifts
-# times length) on: with a second CPU free, two forked workers took 1.06-1.07
-# times the serial time at 2**26, 0.75-0.82 at 2**27 and 0.65-0.69 at 2**28
-# (L = 2**16..2**23; a fork costs about 2 ms at 24 MiB resident; same
-# machine); in phases when the host ran both on one CPU, 1.1-1.4 times
+# the shift loop is split across CPUs from this much work (shifts times
+# period times both plane counts) on: with a second CPU free, two forked
+# workers took 1.06-1.07 times the serial self loop at 2**26, 0.75-0.82 at
+# 2**27 and 0.65-0.69 at 2**28 (L = 2**16..2**23; a fork costs about 2 ms at
+# 24 MiB resident; same machine); 1.1-1.4 while the host ran both on one CPU
 _FORK_BITS = 1 << 27
 
 
@@ -103,18 +100,14 @@ def build_pair_ensemble(
 ) -> Ensemble:
     """Distances between the lcm-length extensions of ``a`` and rotated ``b``.
 
-    Both strings are repeated cyclically out to lcm(a.nbits, b.nbits);
-    observation n XORs the extension of ``a`` with the extension of ``b``
-    advanced by n bits, for the first ``n_shifts`` shifts (``None``: all
-    of them).  With a == b this reduces exactly to the self ensemble.
+    Observation n compares ``a`` repeated cyclically out to
+    lcm(a.nbits, b.nbits) bits with ``b``, likewise repeated, advanced by
+    n bits, for the first ``n_shifts`` shifts (``None``: all of them).
+    The extensions are never built: every kernel works on the residues
+    modulo gcd(a.nbits, b.nbits), on which the distance depends.  With
+    a == b this reduces exactly to the self ensemble.
     """
-    length = lcm(a.nbits, b.nbits)
-    if length > PAIR_CAP_BITS:
-        raise PairTooLarge(
-            f"lcm({a.nbits}, {b.nbits}) = {length} bits "
-            f"exceeds the cap of {PAIR_CAP_BITS}"
-        )
-    return _build(a, b, length, n_shifts, PAIR_MODE)
+    return _build(a, b, lcm(a.nbits, b.nbits), n_shifts, PAIR_MODE)
 
 
 def _build(
@@ -139,7 +132,8 @@ def _build(
     period = gcd(a.nbits, b.nbits)
     ones_a = a.ones * (length // a.nbits)
     ones_b = b.ones * (length // b.nbits)
-    max_distance = min(ones_a + ones_b, 2 * length - ones_a - ones_b)
+    total_ones = ones_a + ones_b
+    max_distance = min(total_ones, 2 * length - total_ones)
     # no correlation, and no count of set bits per residue modulo the
     # period, exceeds the smaller set-bit count unless that count is 0,
     # and then one operand and the product are 0
@@ -148,11 +142,11 @@ def _build(
     shifts = min(n_shifts, distinct)
     if _use_product(shifts, length, period, width):
         block = _product_codes(*_operands(a, b, period, width), period, distinct, width)
-        decode = _DistanceTable(ones_a + ones_b, block.itemsize)
+        decode = _DistanceTable(total_ones, block.itemsize)
     else:
         # observation 0 of a self ensemble is the self-match
         first = 1 if mode == SELF_MODE else 0
-        block = (0,) * first + _loop_distances(a, b, length, first, shifts)
+        block = (0,) * first + _loop_distances(a, b, period, total_ones, first, shifts)
         decode = None
     counts, total = _counts(block, decode, mode, length, period, n_shifts)
     # the loop computes observed shifts only; the product decodes every
@@ -211,10 +205,10 @@ def _counts(
 
 def _use_product(shifts: int, length: int, slots: int, width: int) -> bool:
     """True when one exact product of two ``slots``-slot operands with
-    ``width``-digit slots is cheaper than ``shifts`` rotations of
-    ``length`` bits.
+    ``width``-digit slots is cheaper than ``shifts`` shifts of the loop.
 
-    A rotation costs O(length); the product costs O(D log D) in its D =
+    A shift costs O(period) per pair of count planes, which is at most
+    O(length); the product costs O(D log D) in its D =
     width*slots digits.  The crossover is therefore a fixed number of
     shifted bits per digit, slot and bit of ``slots``.  The decode reads
     at most 8 digits per slot.
@@ -226,29 +220,29 @@ def _use_product(shifts: int, length: int, slots: int, width: int) -> bool:
 
 
 def _loop_distances(
-    a: BitString, b: BitString, length: int, first: int, n_shifts: int
+    a: BitString, b: BitString, period: int, total_ones: int, first: int, n_shifts: int
 ) -> tuple[int, ...]:
-    """Distances d(first..n_shifts-1) from the shift loop, split into one
-    contiguous range per CPU that ``_cpus`` grants."""
+    """Distances d(first..n_shifts-1) from the shift loop over the count
+    planes of ``a`` and ``b``, split into one contiguous range per CPU
+    that ``_cpus`` grants."""
     if first == n_shifts:
         return ()
+    planes_a, planes_b = _planes(a, period), _planes(b, period)
     count = n_shifts - first
-    workers = min(count, _cpus(n_shifts * length))
+    workers = min(count, _cpus(n_shifts * period * len(planes_a) * len(planes_b)))
     bounds = [first + count * i // workers for i in range(workers + 1)]
-    return tuple(
-        _forked_distances(
-            _tile(a, length), _tile(b, length), length, list(zip(bounds, bounds[1:]))
-        )
-    )
+    operands = (planes_a, planes_b, period, total_ones)
+    return tuple(_forked_distances(operands, list(zip(bounds, bounds[1:]))))
 
 
-def _cpus(shifted_bits: int) -> int:
-    """CPUs to split a loop over ``shifted_bits`` (shifts times length)
-    across: every CPU this process may use from ``_FORK_BITS`` on, on
-    platforms with ``fork``, and only while no other thread runs (a
-    forked child would inherit locks held by threads absent from it)."""
+def _cpus(work: int) -> int:
+    """CPUs to split a loop of ``work`` (shifts times period times both
+    plane counts) across: every CPU this process may use from
+    ``_FORK_BITS`` on, on platforms with ``fork``, and only while no
+    other thread runs (a forked child would inherit locks held by threads
+    absent from it)."""
     if (
-        shifted_bits < _FORK_BITS
+        work < _FORK_BITS
         or not hasattr(os, "fork")
         or not hasattr(os, "sched_getaffinity")
         or threading.active_count() != 1
@@ -257,47 +251,63 @@ def _cpus(shifted_bits: int) -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _shift_distances(
-    a_ext: int, b_ext: int, length: int, start: int, stop: int
-) -> list[int]:
-    """One shift, one XOR and one popcount over the whole extension per
-    observation n in [start, stop): O((stop - start) * length).
+def _planes(b: BitString, period: int) -> list[int]:
+    """Bit-planes of the set-bit counts of ``b`` per residue r of its
+    integer bit positions modulo ``period``: bit r of plane i is bit i of
+    the count at r.  Each chunk, sliced from bits rendered once, is added
+    the way a binary counter adds 1: a plane keeps the XOR and carries
+    the AND up.  A single chunk is its own plane."""
+    if b.nbits == period:
+        return [b.value]
+    bits = b.to_bits()
+    planes: list[int] = []
+    for start in range(0, b.nbits, period):
+        carry = int(bits[start : start + period], 2)
+        for i, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[i], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    return planes
 
-    ``b_ext << n`` leaves zeros where the extension rotated left by n
-    holds its n wrapped top bits ``w``, and holds ``w`` above ``length``
-    instead.  The popcount of its XOR with ``a_ext`` therefore counts
-    ``lo``, the low n bits of ``a_ext``, in place of ``lo ^ w``, and
-    ``w`` besides; the O(n) terms correct both.  Rotating the extension
-    by n equals extending b rotated by n, because b.nbits divides the
-    extension length.
+
+def _shift_distances(
+    planes_a: list, planes_b: list, period: int, total_ones: int, start: int, stop: int
+) -> list[int]:
+    """Distances ``total_ones - 2*C(n)`` for n in [start, stop): one shift,
+    one AND and one popcount over the period per pair of planes.
+
+    C(n), the number of positions where shift n lines up two set bits, is
+    2**(i+j) * popcount(P_i & rot(Q_j, n)) summed over the planes P_i of a
+    and Q_j of b, rot rotating left by n within ``period`` bits.  The AND
+    with ``q << n`` drops the n wrapped bits above ``period``, and
+    ``q >> (period - n)`` adds them back at 0..n-1 in O(n).
     """
     # glibc's malloc maps each block at or above its dynamic threshold
     # afresh, so every page of it faults on first touch, and raises the
     # threshold to the size of any mapped block that is freed.  Freeing one
-    # block about twice the size of a shift's length-bit temporaries first
+    # block about twice the size of a shift's period-bit temporaries first
     # lets them come from the heap: 9 instead of 500 page faults a shift
-    # at length 2**23.  Without it 1 MB --ensemble 64 took 42-67% longer
+    # at period 2**23.  Without it 1 MB --ensemble 64 took 42-67% longer
     # (ROADMAP.md, "Measured dead ends"); a test guards this line
-    _heap_block = bytes(length // 4)
+    _heap_block = bytes(period // 4)
     del _heap_block
     vals = []
     for n in range(start, stop):
-        w = b_ext >> (length - n)
-        lo = a_ext & ((1 << n) - 1)
-        vals.append(
-            (a_ext ^ (b_ext << n)).bit_count()
-            - w.bit_count()
-            - lo.bit_count()
-            + (lo ^ w).bit_count()
-        )
+        c = 0
+        for j, q in enumerate(planes_b):
+            high, wrapped = q << n, q >> (period - n)
+            for i, p in enumerate(planes_a):
+                c += ((p & high).bit_count() + (p & wrapped).bit_count()) << (i + j)
+        vals.append(total_ones - 2 * c)
     return vals
 
 
-def _forked_distances(
-    a_ext: int, b_ext: int, length: int, ranges: list[tuple[int, int]]
-) -> list[int]:
-    """Distances over consecutive ``ranges``: this process computes the
-    first, one forked child each of the others (none for a single range).
+def _forked_distances(operands: tuple, ranges: list[tuple[int, int]]) -> list[int]:
+    """Distances over consecutive ``ranges`` from ``_shift_distances`` on
+    ``operands``, its arguments before the range: this process computes
+    the first, one forked child each of the others (none for one range).
 
     A child sends its distances as int64 bytes down its own pipe and
     leaves with ``os._exit``, so it never returns into the caller's
@@ -312,11 +322,11 @@ def _forked_distances(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(write_fd, a_ext, b_ext, length, start, stop)
+                    _child(write_fd, operands, start, stop)
             finally:
                 os.close(write_fd)
             pids.append(pid)
-        vals = _shift_distances(a_ext, b_ext, length, *ranges[0])
+        vals = _shift_distances(*operands, *ranges[0])
         for (start, stop), pipe in zip(ranges[1:], pipes):
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
@@ -339,28 +349,19 @@ def _forked_distances(
     return vals
 
 
-def _child(
-    write_fd: int, a_ext: int, b_ext: int, length: int, start: int, stop: int
-) -> None:
+def _child(write_fd: int, operands: tuple, start: int, stop: int) -> None:
     """Body of a forked worker: never returns; exit status 0 only after
     every distance was written."""
     status = 1
     try:
         data = memoryview(
-            array("q", _shift_distances(a_ext, b_ext, length, start, stop)).tobytes()
+            array("q", _shift_distances(*operands, start, stop)).tobytes()
         )
         while data:
             data = data[os.write(write_fd, data) :]
         status = 0
     finally:
         os._exit(status)
-
-
-def _tile(b: BitString, length: int) -> int:
-    """Integer value of ``b`` repeated out to ``length`` bits."""
-    if length == b.nbits:
-        return b.value
-    return int(b.to_bits() * (length // b.nbits), 2)
 
 
 def _operands(

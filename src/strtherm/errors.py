@@ -22,11 +22,8 @@ class InvalidShift(StrthermError):
 
 
 class InvalidEnsembleSize(StrthermError):
-    """Raised when the requested number of shifts is not in [1, nbits]."""
-
-
-class PairTooLarge(StrthermError):
-    """Raised when the common extension of a string pair exceeds the cap."""
+    """Raised when the requested number of shifts is not in [1, L], L the
+    ensemble length: the bit length, or the lcm of a pair's lengths."""
 
 
 class DegenerateModel(StrthermError):

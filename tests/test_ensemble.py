@@ -34,7 +34,7 @@ from strtherm.ensemble import (
     without_self_match,
 )
 from strtherm.equilibrium import fit
-from strtherm.errors import ExactnessCheckFailed, InvalidEnsembleSize, PairTooLarge
+from strtherm.errors import ExactnessCheckFailed, InvalidEnsembleSize
 from strtherm.thermo import build_report
 
 
@@ -122,15 +122,31 @@ class TestPairEnsemble:
                 )
                 assert got == want
 
-    def test_mode_and_cap(self):
+    def test_mode(self):
         a = from_bits("01")
         b = from_bits("011")
         e = build_pair_ensemble(a, b, 6)
         assert e.mode == "pair"
         assert e.nbits == 6
-        with mock.patch.object(ensemble, "PAIR_CAP_BITS", 4):
-            with pytest.raises(PairTooLarge):
-                build_pair_ensemble(a, b, 1)
+
+    @pytest.mark.parametrize("n", [None, 100])
+    def test_coprime_kilobyte_pair_builds(self, n):
+        # 4096 B x 4097 B: g = 8 distinct distances stand for the
+        # L = 134250496 shifts, which nothing lists
+        rng = random.Random(17)
+        a = from_bytes(rng.randbytes(4096))
+        b = from_bytes(rng.randbytes(4097))
+        length = 134250496
+        e = build_pair_ensemble(a, b, n)
+        assert e.nbits == length
+        assert e.n_obs == (length if n is None else n)
+        assert sum(count for _, count in e.entries) == e.n_obs
+        assert len(e.entries) <= 8
+        if n is None:
+            ones_a = a.ones * (length // a.nbits)
+            ones_b = b.ones * (length // b.nbits)
+            total = sum(d * count for d, count in e.entries)
+            assert total == full_sum(length, ones_a, ones_b)
 
     def test_bad_size_rejected(self):
         with pytest.raises(InvalidEnsembleSize):
@@ -337,6 +353,38 @@ def slot_width(ones_a, ones_b):
     return len(str(min(ones_a, ones_b)))
 
 
+# a pair's lengths are g*p and g*q with p, q coprime, so their gcd is g
+COPRIME = st.tuples(st.integers(2, 9), st.integers(2, 9)).filter(
+    lambda pq: gcd(*pq) == 1
+)
+
+
+@st.composite
+def chunked_pair(draw):
+    """Two strings of g*p and g*q bits: g = 1, g = the shorter length or
+    g in between.  Up to 9 chunks of g bits give a string 4 count planes,
+    and a dense one all-zero middle planes (9 = 0b1001)."""
+    g, (p, q) = draw(
+        st.one_of(
+            st.tuples(st.just(1), COPRIME),
+            st.tuples(
+                st.integers(2, 8),
+                st.integers(2, 9).flatmap(lambda k: st.permutations([1, k])),
+            ),
+            st.tuples(st.integers(2, 6), COPRIME),
+        )
+    )
+    fills = st.sampled_from(["random", "ones", "zeros"])
+    strings = []
+    for nbits in (g * p, g * q):
+        fill = draw(fills)
+        if fill == "random":
+            strings.append(draw(bit_strings(nbits)))
+        else:
+            strings.append(("1" if fill == "ones" else "0") * nbits)
+    return tuple(strings)
+
+
 class TestKernelEquivalence:
     @KERNELS
     @settings(max_examples=40, deadline=None)
@@ -362,13 +410,24 @@ class TestKernelEquivalence:
         assert list(e.values) == naive_distances(bits, bits, range(cut))
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 50).flatmap(lambda k: bit_strings(2 * k + 1)),
-        st.integers(1, 7),
-    )
-    def test_tile_repeats_the_string(self, bits, k):
-        b = from_bits(bits)
-        assert ensemble._tile(b, k * b.nbits) == int(bits * k, 2)
+    @given(st.integers(1, 12), st.integers(1, 9), st.data())
+    def test_planes_count_each_residue(self, period, chunks, draw):
+        nbits = period * chunks
+        bits = draw.draw(
+            st.one_of(bit_strings(nbits), st.just("1" * nbits)), label="bits"
+        )
+        planes = ensemble._planes(from_bits(bits), period)
+        assert len(planes) <= chunks.bit_length()
+        assert all(plane >> period == 0 for plane in planes)
+        for r in range(period):
+            # integer bit r is reading position nbits - 1 - r
+            count = bits[period - 1 - r :: period].count("1")
+            assert sum((plane >> r & 1) << i for i, plane in enumerate(planes)) == count
+
+    def test_planes_keep_zero_middle_planes(self):
+        # nine set bits per residue are 0b1001: planes 1 and 2 hold no bit
+        assert ensemble._planes(from_bits("1" * 27), 3) == [7, 0, 0, 7]
+        assert ensemble._planes(from_bits("1" * 27), 27) == [2**27 - 1]
 
     @pytest.mark.parametrize("length", [9999, 10000, 10001])
     @settings(max_examples=4, deadline=None)
@@ -399,11 +458,17 @@ class TestKernelEquivalence:
     @KERNELS
     @settings(max_examples=15, deadline=None)
     @given(
-        st.integers(1, 100).flatmap(bit_strings),
-        st.integers(1, 100).flatmap(bit_strings),
+        st.one_of(
+            st.tuples(
+                st.integers(1, 100).flatmap(bit_strings),
+                st.integers(1, 100).flatmap(bit_strings),
+            ),
+            chunked_pair(),
+        ),
         st.lists(st.integers(0, 10**4), max_size=6),
     )
-    def test_pair_large_lcm(self, kernel, a, b, shifts):
+    def test_pair_large_lcm(self, kernel, pair, shifts):
+        a, b = pair
         length = lcm(len(a), len(b))
         with forced(kernel):
             e = build_pair_ensemble(from_bits(a), from_bits(b), length)
@@ -531,10 +596,6 @@ class TestKernelEquivalence:
         assert not ensemble._use_product(10**9, 2**20, 2**20, 9)
 
 
-# a pair's lengths are g*p and g*q with p, q coprime, so their gcd is g
-COPRIME = st.tuples(st.integers(2, 9), st.integers(2, 9)).filter(
-    lambda pq: gcd(*pq) == 1
-)
 PAIR_SHAPES = {
     "g=1": st.tuples(st.just(1), COPRIME),
     "g=min": st.tuples(st.integers(1, 12), st.sampled_from([(1, 2), (3, 1), (1, 5)])),
@@ -560,7 +621,7 @@ def fill(nbits, kind, draw):
 def shifts_of(spy):
     """Every shift the loop computed, from the calls on a spy of
     ``_shift_distances``."""
-    return sorted(n for c in spy.call_args_list for n in range(*c.args[3:5]))
+    return sorted(n for c in spy.call_args_list for n in range(*c.args[4:6]))
 
 
 class TestDistinctBlock:
@@ -1025,12 +1086,12 @@ class TestSplitLoop:
         parent = os.getpid()
         loop = ensemble._shift_distances
 
-        def shift_distances(a_ext, b_ext, length, start, stop):
+        def shift_distances(planes_a, planes_b, period, total, start, stop):
             if os.getpid() != parent:
                 if start == 21:
                     raise RuntimeError("worker fault")
                 time.sleep(60)
-            return loop(a_ext, b_ext, length, start, stop)
+            return loop(planes_a, planes_b, period, total, start, stop)
 
         b = random_bitstring(301, 0.5, 3)
         began = time.monotonic()
@@ -1085,14 +1146,16 @@ class TestSplitLoop:
         b = from_bits(bits)
         with forced("loop"), mock.patch.object(
             ensemble, "_shift_distances", wraps=ensemble._shift_distances
-        ) as loop, mock.patch.object(ensemble, "_tile", wraps=ensemble._tile) as tile:
+        ) as loop, mock.patch.object(
+            ensemble, "_planes", wraps=ensemble._planes
+        ) as planes:
             self_vals = build_self_ensemble(b, n).values
             pair_vals = build_pair_ensemble(b, b, n).values
         # self mode starts at shift 1 and, with one shift, builds nothing;
-        # pair mode computes shift 0 as popcount(a ^ b)
-        starts = [c.args[3] for c in loop.call_args_list]
+        # pair mode computes shift 0 as ones_a + ones_b - 2*popcount(a & b)
+        starts = [c.args[4] for c in loop.call_args_list]
         assert starts == ([1] if n > 1 else []) + [0]
-        assert tile.call_count == (2 if n > 1 else 0) + 2
+        assert planes.call_count == (2 if n > 1 else 0) + 2
         assert self_vals == pair_vals == tuple(naive_distances(bits, bits, range(n)))
 
     def test_loop_frees_a_heap_block_before_its_shifts(self, monkeypatch):
@@ -1117,6 +1180,7 @@ class TestSplitLoop:
         monkeypatch.setattr(ensemble, "range", shifts, raising=False)
         bits = "0110" * 15 + "1101"
         value = int(bits, 2)
-        vals = ensemble._shift_distances(value, value, 64, 0, 3)
+        total_ones = 2 * bits.count("1")
+        vals = ensemble._shift_distances([value], [value], 64, total_ones, 0, 3)
         assert vals == naive_distances(bits, bits, range(3))
         assert events == [("block", 16), "freed", "shifts"]
