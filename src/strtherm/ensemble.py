@@ -140,13 +140,19 @@ def _build(
     width = len(str(min(ones_a, ones_b)))
     distinct = length // 2 + 1 if mode == SELF_MODE else period
     shifts = min(n_shifts, distinct)
-    if _use_product(shifts, length, period, width):
-        block = _product_codes(*_operands(a, b, period, width), period, distinct, width)
+    planes_a = _planes(a, period)
+    planes_b = planes_a if b is a else _planes(b, period)
+    work = shifts * period * len(planes_a) * len(planes_b)
+    if _use_product(work, period, width):
+        a_slots = _folded(planes_a, period, width, reverse=True)
+        b_slots = _folded(planes_b, period, width, reverse=False)
+        block = _product_codes(a_slots, b_slots, period, distinct, width)
         decode = _DistanceTable(total_ones, block.itemsize)
     else:
         # observation 0 of a self ensemble is the self-match
         first = 1 if mode == SELF_MODE else 0
-        block = (0,) * first + _loop_distances(a, b, period, total_ones, first, shifts)
+        operands = (planes_a, planes_b, period, total_ones)
+        block = (0,) * first + _loop_distances(operands, first, shifts, work)
         decode = None
     counts, total = _counts(block, decode, mode, length, period, n_shifts)
     # the loop computes observed shifts only; the product decodes every
@@ -203,35 +209,34 @@ def _counts(
     return counts, total if whole else None
 
 
-def _use_product(shifts: int, length: int, slots: int, width: int) -> bool:
+def _use_product(work: int, slots: int, width: int) -> bool:
     """True when one exact product of two ``slots``-slot operands with
-    ``width``-digit slots is cheaper than ``shifts`` shifts of the loop.
+    ``width``-digit slots is cheaper than the shift loop's ``work``.
 
-    A shift costs O(period) per pair of count planes, which is at most
-    O(length); the product costs O(D log D) in its D =
-    width*slots digits.  The crossover is therefore a fixed number of
-    shifted bits per digit, slot and bit of ``slots``.  The decode reads
-    at most 8 digits per slot.
+    ``work`` counts the loop's shifted bits: shifts times period times
+    the count planes of both strings, the same number ``_cpus`` splits
+    the loop by.  The product costs O(D log D) in its D = width*slots
+    digits.  The crossover is therefore a fixed number of shifted bits
+    per digit, slot and bit of ``slots``.  The decode reads at most 8
+    digits per slot.
     """
     return (
         width <= 8
-        and shifts * length > _PRODUCT_SHIFTS * width * slots * slots.bit_length()
+        and work > _PRODUCT_SHIFTS * width * slots * slots.bit_length()
     )
 
 
 def _loop_distances(
-    a: BitString, b: BitString, period: int, total_ones: int, first: int, n_shifts: int
+    operands: tuple, first: int, n_shifts: int, work: int
 ) -> tuple[int, ...]:
-    """Distances d(first..n_shifts-1) from the shift loop over the count
-    planes of ``a`` and ``b``, split into one contiguous range per CPU
-    that ``_cpus`` grants."""
-    if first == n_shifts:
-        return ()
-    planes_a, planes_b = _planes(a, period), _planes(b, period)
+    """Distances d(first..n_shifts-1) from the shift loop on ``operands``
+    (both strings' count planes, the period and ``total_ones``), split
+    into one contiguous range per CPU that ``_cpus`` grants ``work``."""
     count = n_shifts - first
-    workers = min(count, _cpus(n_shifts * period * len(planes_a) * len(planes_b)))
+    if count == 0:
+        return ()
+    workers = min(count, _cpus(work))
     bounds = [first + count * i // workers for i in range(workers + 1)]
-    operands = (planes_a, planes_b, period, total_ones)
     return tuple(_forked_distances(operands, list(zip(bounds, bounds[1:]))))
 
 
@@ -256,7 +261,9 @@ def _planes(b: BitString, period: int) -> list[int]:
     integer bit positions modulo ``period``: bit r of plane i is bit i of
     the count at r.  Each chunk, sliced from bits rendered once, is added
     the way a binary counter adds 1: a plane keeps the XOR and carries
-    the AND up.  A single chunk is its own plane."""
+    the AND up.  A single chunk is its own plane.  Both kernels take
+    these planes: the loop shifts them, and ``_folded`` turns them into
+    the product's operands."""
     if b.nbits == period:
         return [b.value]
     bits = b.to_bits()
@@ -364,18 +371,6 @@ def _child(write_fd: int, operands: tuple, start: int, stop: int) -> None:
         os._exit(status)
 
 
-def _operands(
-    a: BitString, b: BitString, period: int, width: int
-) -> tuple[Decimal, Decimal]:
-    """The product's operands: ``a`` reversed and ``b`` in reading order,
-    folded onto ``period`` slots; a self ensemble renders its bits once."""
-    bits = a.to_bits().encode()
-    a_slots = _folded_slots(bits[::-1], period, width)
-    if b is not a:
-        bits = b.to_bits().encode()
-    return a_slots, _folded_slots(bits, period, width)
-
-
 def _slots(bits: bytes, width: int) -> Decimal:
     """The integer whose ``width``-digit slots hold ``bits``, first bit highest."""
     buf = bytearray(b"0" * (width * len(bits)))
@@ -383,14 +378,17 @@ def _slots(bits: bytes, width: int) -> Decimal:
     return Decimal(buf.decode())
 
 
-def _folded_slots(bits: bytes, period: int, width: int) -> Decimal:
-    """The integer whose ``period`` slots of ``width`` digits hold the
-    number of set bits among ``bits`` at each position modulo ``period``,
-    position 0 highest: the sum of the period-long chunks as slot integers.
-    """
-    folded = _slots(bits[:period], width)
-    for start in range(period, len(bits), period):
-        folded = _EXACT.add(folded, _slots(bits[start : start + period], width))
+def _folded(planes: list[int], period: int, width: int, reverse: bool) -> Decimal:
+    """The product's operand from a string's count ``planes``: the integer
+    whose ``period`` slots of ``width`` digits hold the set-bit count at
+    each reading position modulo ``period``, position 0 highest, or lowest
+    if ``reverse``.  Counts wider than a slot carry into the next one,
+    which leaves the integer the same."""
+    step = -1 if reverse else 1
+    folded = Decimal(0)
+    for plane in reversed(planes):
+        bits = format(plane, f"0{period}b")[::step].encode()
+        folded = _EXACT.add(_EXACT.add(folded, folded), _slots(bits, width))
     return folded
 
 
@@ -423,11 +421,11 @@ def _product_codes(
     With x = 10**width, ``a_slots`` = sum_r A(r) x**r holds the set-bit
     counts A(r) of ``a`` per residue r modulo ``period``, reversed, and
     ``b_slots`` = sum_s B(s) x**(period-1-s) those of ``b`` in reading
-    order (``_folded_slots``).  Term A(r)*B(s) lands in slot
-    period-1+r-s, and folding slots period..2*period-1 onto 0..period-1
-    (x**period = 1 modulo x**period - 1) leaves C(n) = sum_r A(r)*B((r+n)
-    mod period) in slot period-1-n: the n-th slot of the folded digit
-    string, read from the left.  That is the correlation of the
+    order: ``_folded`` builds both from the count planes the shift loop
+    takes.  Term A(r)*B(s) lands in slot period-1+r-s, and folding slots
+    period..2*period-1 onto 0..period-1 (x**period = 1 modulo x**period -
+    1) leaves C(n) = sum_r A(r)*B((r+n) mod period) in slot period-1-n:
+    the n-th slot of the folded digit string, read from the left.  That is the correlation of the
     extensions, which depends on the shift only modulo ``period``.  No
     slot exceeds the smaller set-bit count, which the caller sized
     ``width`` to, so nothing carries between slots.

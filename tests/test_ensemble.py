@@ -324,10 +324,11 @@ def bit_strings(length):
     return st.text(alphabet="01", min_size=length, max_size=length)
 
 
-# settings that force one kernel for every ensemble size; the split
-# loop gets three CPUs on any host, so short ensembles leave some idle
+# settings that force one kernel for every ensemble size (a string of
+# all-zero chunks has no count planes, so the loop's work can be 0); the
+# split loop gets three CPUs on any host, so short ensembles leave some idle
 KERNEL_SETTINGS = {
-    "product": {"_PRODUCT_SHIFTS": 0},
+    "product": {"_PRODUCT_SHIFTS": -1},
     "loop": {"_PRODUCT_SHIFTS": 10**9},
     "split": {"_PRODUCT_SHIFTS": 10**9, "_FORK_BITS": 0},
 }
@@ -439,7 +440,7 @@ class TestKernelEquivalence:
     def test_slot_width_boundary(self, length, p, seed, shifts):
         b = random_bitstring(length, p, seed)
         width = slot_width(b.ones, b.ones)
-        assert ensemble._use_product(length // 2 + 1, length, length, width)
+        assert ensemble._use_product((length // 2 + 1) * length, length, width)
         e = build_self_ensemble(b, length)
         bits = b.to_bits()
         shifts = [0, 1, length - 1] + [n % length for n in shifts]
@@ -490,18 +491,24 @@ class TestKernelEquivalence:
             a = b = random_bitstring(8192, p, seed)
             length = 8192
         else:
-            # g = 1024 < L = 6144: the loop would run min(n, g) shifts of
-            # L bits, against a product of two g-slot operands
-            a = random_bitstring(2048, p, seed)
-            b = random_bitstring(3072, p, seed + 1)
-            length = 6144
+            # g = 4096 < L = 24576: the loop runs min(n, g) shifts of the
+            # g-bit planes of each string (up to two each, from two and
+            # three chunks), against a product of two g-slot operands
+            a = random_bitstring(8192, p, seed)
+            b = random_bitstring(12288, p, seed + 1)
+            length = 24576
         slots = gcd(a.nbits, b.nbits)
         ones_a = a.ones * (length // a.nbits)
         ones_b = b.ones * (length // b.nbits)
         width = slot_width(ones_a, ones_b)
         cost = ensemble._PRODUCT_SHIFTS * width * slots * slots.bit_length()
-        switch = cost // length
+        planes = len(ensemble._planes(a, slots)) * len(ensemble._planes(b, slots))
+        switch = cost // (slots * planes)
         assert switch + 1 < min(slots, length // 2)
+        if mode == "pair":
+            # charged shifts x L, the loop would lose to the product already
+            # at the switch
+            assert switch * length > cost
         runs = {}
         for n in (switch - 1, switch, switch + 1):
             with mock.patch.object(
@@ -580,10 +587,12 @@ class TestKernelEquivalence:
         ones_a = a.count("1") * (length // len(a))
         ones_b = b.count("1") * (length // len(b))
         want = naive_distances(a, b, range(period))
+        planes_a = ensemble._planes(from_bits(a), period)
+        planes_b = ensemble._planes(from_bits(b), period)
         for width in range(slot_width(ones_a, ones_b), 9):
             codes = ensemble._product_codes(
-                ensemble._folded_slots(a[::-1].encode(), period, width),
-                ensemble._folded_slots(b.encode(), period, width),
+                ensemble._folded(planes_a, period, width, reverse=True),
+                ensemble._folded(planes_b, period, width, reverse=False),
                 period,
                 period,
                 width,
@@ -592,8 +601,8 @@ class TestKernelEquivalence:
             assert [decode[code] for code in codes] == want, width
 
     def test_slot_capacity(self):
-        assert ensemble._use_product(10**9, 2**20, 2**20, 8)
-        assert not ensemble._use_product(10**9, 2**20, 2**20, 9)
+        assert ensemble._use_product(10**9 * 2**20, 2**20, 8)
+        assert not ensemble._use_product(10**9 * 2**20, 2**20, 9)
 
 
 PAIR_SHAPES = {
@@ -1151,11 +1160,12 @@ class TestSplitLoop:
         ) as planes:
             self_vals = build_self_ensemble(b, n).values
             pair_vals = build_pair_ensemble(b, b, n).values
-        # self mode starts at shift 1 and, with one shift, builds nothing;
+        # self mode starts at shift 1 and, with one shift, runs none;
         # pair mode computes shift 0 as ones_a + ones_b - 2*popcount(a & b)
         starts = [c.args[4] for c in loop.call_args_list]
         assert starts == ([1] if n > 1 else []) + [0]
-        assert planes.call_count == (2 if n > 1 else 0) + 2
+        # each build folds its one distinct string once, for either kernel
+        assert planes.call_count == 2
         assert self_vals == pair_vals == tuple(naive_distances(bits, bits, range(n)))
 
     def test_loop_frees_a_heap_block_before_its_shifts(self, monkeypatch):
