@@ -261,9 +261,10 @@ def _planes(b: BitString, period: int) -> list[int]:
     integer bit positions modulo ``period``: bit r of plane i is bit i of
     the count at r.  Each chunk, sliced from bits rendered once, is added
     the way a binary counter adds 1: a plane keeps the XOR and carries
-    the AND up.  A single chunk is its own plane.  Both kernels take
-    these planes: the loop shifts them, and ``_folded`` turns them into
-    the product's operands."""
+    the AND up.  A single chunk is its own plane, and a string of
+    all-zero chunks is one zero plane, so every string counts at least
+    one plane of work.  Both kernels take these planes: the loop shifts
+    them, and ``_folded`` turns them into the product's operands."""
     if b.nbits == period:
         return [b.value]
     bits = b.to_bits()
@@ -276,7 +277,7 @@ def _planes(b: BitString, period: int) -> list[int]:
             planes[i], carry = plane ^ carry, plane & carry
         if carry:
             planes.append(carry)
-    return planes
+    return planes or [0]
 
 
 def _shift_distances(

@@ -324,11 +324,10 @@ def bit_strings(length):
     return st.text(alphabet="01", min_size=length, max_size=length)
 
 
-# settings that force one kernel for every ensemble size (a string of
-# all-zero chunks has no count planes, so the loop's work can be 0); the
-# split loop gets three CPUs on any host, so short ensembles leave some idle
+# settings that force one kernel for every ensemble size; the split loop
+# gets three CPUs on any host, so short ensembles leave some idle
 KERNEL_SETTINGS = {
-    "product": {"_PRODUCT_SHIFTS": -1},
+    "product": {"_PRODUCT_SHIFTS": 0},
     "loop": {"_PRODUCT_SHIFTS": 10**9},
     "split": {"_PRODUCT_SHIFTS": 10**9, "_FORK_BITS": 0},
 }
@@ -415,10 +414,13 @@ class TestKernelEquivalence:
     def test_planes_count_each_residue(self, period, chunks, draw):
         nbits = period * chunks
         bits = draw.draw(
-            st.one_of(bit_strings(nbits), st.just("1" * nbits)), label="bits"
+            st.one_of(
+                bit_strings(nbits), st.just("1" * nbits), st.just("0" * nbits)
+            ),
+            label="bits",
         )
         planes = ensemble._planes(from_bits(bits), period)
-        assert len(planes) <= chunks.bit_length()
+        assert 1 <= len(planes) <= chunks.bit_length()
         assert all(plane >> period == 0 for plane in planes)
         for r in range(period):
             # integer bit r is reading position nbits - 1 - r
@@ -429,6 +431,8 @@ class TestKernelEquivalence:
         # nine set bits per residue are 0b1001: planes 1 and 2 hold no bit
         assert ensemble._planes(from_bits("1" * 27), 3) == [7, 0, 0, 7]
         assert ensemble._planes(from_bits("1" * 27), 27) == [2**27 - 1]
+        # all-zero chunks are one zero plane, not none
+        assert ensemble._planes(from_bits("0" * 27), 3) == [0]
 
     @pytest.mark.parametrize("length", [9999, 10000, 10001])
     @settings(max_examples=4, deadline=None)
@@ -526,6 +530,22 @@ class TestKernelEquivalence:
         assert [runs[switch + 1][n] for n in shifts] == naive_distances(
             a.to_bits(), b.to_bits(), shifts
         )
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["a-zero", "b-zero"])
+    def test_zero_string_pair_takes_the_product(self, swap):
+        # a string of two all-zero chunks still counts one plane of loop
+        # work, so the full pair ensemble (g = 1024, L = 6144) takes the
+        # product under the default settings instead of a g-shift loop
+        zero = from_bits("0" * 2048)
+        other = random_bitstring(3072, 0.5, seed=7)
+        a, b = (other, zero) if swap else (zero, other)
+        assert ensemble._planes(zero, 1024) == [0]
+        with mock.patch.object(
+            ensemble, "_product_codes", wraps=ensemble._product_codes
+        ) as product:
+            e = build_pair_ensemble(a, b)
+        assert product.called
+        assert e.entries == ((other.ones * 2, 6144),)
 
     @pytest.mark.parametrize("zeros", [0, 3])
     @pytest.mark.parametrize("ones", [9, 10, 99, 100, 9999, 10000, 99999, 100000])
