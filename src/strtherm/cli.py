@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import bitstring, ensemble, equilibrium, thermo
-from .errors import EmptyInput, StrthermError
+from .errors import EmptyInput
 
 REPORT_VERSION = 1
 
@@ -160,7 +160,7 @@ def corpus_summary(configs: list[AnalysisConfig]) -> list[dict]:
         row = {"input": config.inputs[0], "error": ""}
         try:
             result = analyze(config)
-        except (StrthermError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             row["error"] = str(exc)
             result = None
         for f in _SUMMARY_FIELDS:
@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StrthermError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"strtherm: error: {exc}", file=sys.stderr)
         return 2
 

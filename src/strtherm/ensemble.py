@@ -7,6 +7,7 @@ extensions of two source strings with one of them rotated (pair mode).
 
 from __future__ import annotations
 
+import mmap
 import os
 import signal
 import sys
@@ -229,15 +230,59 @@ def _use_product(work: int, slots: int, width: int) -> bool:
 def _loop_distances(
     operands: tuple, first: int, n_shifts: int, work: int
 ) -> tuple[int, ...]:
-    """Distances d(first..n_shifts-1) from the shift loop on ``operands``
-    (both strings' count planes, the period and ``total_ones``), split
-    into one contiguous range per CPU that ``_cpus`` grants ``work``."""
+    """Distances d(first..n_shifts-1) from ``_shift_distances`` on
+    ``operands``, its arguments before the range (both strings' count
+    planes, the period and ``total_ones``), split into one contiguous
+    range per CPU that ``_cpus`` grants ``work``.
+
+    This process computes the first range, one forked child each of the
+    others; each writes its distances into its own int64 cells of one
+    shared map, which a result of the wrong length makes raise.  A child
+    exits with status 0 only after its write, by ``os._exit``, so it
+    never returns into the caller's stack or flushes inherited stdio
+    buffers.  Every child is reaped before this returns or raises.
+    """
     count = n_shifts - first
     if count == 0:
         return ()
     workers = min(count, _cpus(work))
     bounds = [first + count * i // workers for i in range(workers + 1)]
-    return tuple(_forked_distances(operands, list(zip(bounds, bounds[1:]))))
+    with mmap.mmap(-1, 8 * count) as shared, memoryview(shared).cast("q") as cells:
+
+        def fill(start: int, stop: int) -> None:
+            cells[start - first : stop - first] = array(
+                "q", _shift_distances(*operands, start, stop)
+            )
+
+        children = []
+        try:
+            for start, stop in zip(bounds[1:], bounds[2:]):
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        fill(start, stop)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append((pid, start, stop))
+            fill(first, bounds[1])
+            while children:
+                pid, start, stop = children.pop(0)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code != 0:
+                    raise ExactnessCheckFailed(
+                        f"the worker for shifts {start}..{stop - 1} exited "
+                        f"with status {code}"
+                    )
+            return tuple(cells)
+        finally:
+            for pid, _, _ in children:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
 
 
 def _cpus(work: int) -> int:
@@ -310,66 +355,6 @@ def _shift_distances(
                 c += ((p & high).bit_count() + (p & wrapped).bit_count()) << (i + j)
         vals.append(total_ones - 2 * c)
     return vals
-
-
-def _forked_distances(operands: tuple, ranges: list[tuple[int, int]]) -> list[int]:
-    """Distances over consecutive ``ranges`` from ``_shift_distances`` on
-    ``operands``, its arguments before the range: this process computes
-    the first, one forked child each of the others (none for one range).
-
-    A child sends its distances as int64 bytes down its own pipe and
-    leaves with ``os._exit``, so it never returns into the caller's
-    stack or flushes inherited stdio buffers.  Every child is reaped
-    before this returns or raises.
-    """
-    pipes, pids = [], []
-    try:
-        for start, stop in ranges[1:]:
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(write_fd, operands, start, stop)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        vals = _shift_distances(*operands, *ranges[0])
-        for (start, stop), pipe in zip(ranges[1:], pipes):
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
-            if code != 0 or len(data) != 8 * (stop - start):
-                raise ExactnessCheckFailed(
-                    f"the worker for shifts {start}..{stop - 1} exited with "
-                    f"status {code} after sending {len(data)} of "
-                    f"{8 * (stop - start)} bytes"
-                )
-            vals.extend(array("q", data))
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-    return vals
-
-
-def _child(write_fd: int, operands: tuple, start: int, stop: int) -> None:
-    """Body of a forked worker: never returns; exit status 0 only after
-    every distance was written."""
-    status = 1
-    try:
-        data = memoryview(
-            array("q", _shift_distances(*operands, start, stop)).tobytes()
-        )
-        while data:
-            data = data[os.write(write_fd, data) :]
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _slots(bits: bytes, width: int) -> Decimal:

@@ -72,10 +72,7 @@ def fit_from_mean(mean_distance: float, nbits: int, n_obs: int) -> EquilibriumMo
 
 def normal_counts(m: EquilibriumModel, c: float) -> float:
     """Expected count at distance ``c`` under the normal approximation."""
-    if m.degenerate:
-        raise DegenerateModel("normal curve undefined for zero variance")
-    d = c - m.mean_distance
-    return m.peak_count * math.exp(-(d * d) / (2.0 * m.variance))
+    return _normal_curve(m)(c)
 
 
 def binomial_counts(m: EquilibriumModel, c: float) -> float:
@@ -88,6 +85,20 @@ def binomial_counts(m: EquilibriumModel, c: float) -> float:
     double precision.
     """
     return _binomial_curve(m)(c)
+
+
+def _normal_curve(m: EquilibriumModel) -> Callable[[float], float]:
+    """``normal_counts`` of ``m`` as a function of the distance, with
+    every term that does not depend on it computed once."""
+    if m.degenerate:
+        raise DegenerateModel("normal curve undefined for zero variance")
+    mean, peak, spread = m.mean_distance, m.peak_count, 2.0 * m.variance
+
+    def counts(c: float) -> float:
+        d = c - mean
+        return peak * math.exp(-(d * d) / spread)
+
+    return counts
 
 
 def _binomial_curve(m: EquilibriumModel) -> Callable[[float], float]:
@@ -123,11 +134,10 @@ def fit_quality(h: Histogram, m: EquilibriumModel) -> float:
     dominate) and divided by the peak count; 0 means a perfect match,
     random-like inputs stay well below structured ones.
     """
-    if m.degenerate:
-        raise DegenerateModel("fit quality undefined for degenerate model")
+    normal = _normal_curve(m)
     total = 0.0
     for c, count in h.entries:
-        r = count - normal_counts(m, c)
+        r = count - normal(c)
         total += r * r
     return math.sqrt(total / len(h.entries)) / m.peak_count
 
@@ -139,8 +149,7 @@ def model_curve(m: EquilibriumModel, max_distance: int) -> list[tuple[int, float
     to [0, max_distance]; this is the line dataset matching the
     histogram's dots.
     """
-    if m.degenerate:
-        raise DegenerateModel("no model curve for degenerate model")
+    normal = _normal_curve(m)
     sigma = math.sqrt(m.variance)
     lo = max(0.0, m.mean_distance - 5.0 * sigma)
     hi = min(float(max_distance), m.mean_distance + 5.0 * sigma)
@@ -148,14 +157,8 @@ def model_curve(m: EquilibriumModel, max_distance: int) -> list[tuple[int, float
     stop = 2 * math.floor(hi / 2.0)
     if start > stop:
         return []
-    # normal_counts with its invariants hoisted, in the same float order
-    mean, peak, spread = m.mean_distance, m.peak_count, 2.0 * m.variance
     binomial = _binomial_curve(m)
-    rows = []
-    for c in range(start, stop + 1, 2):
-        d = c - mean
-        rows.append((c, peak * math.exp(-(d * d) / spread), binomial(c)))
-    return rows
+    return [(c, normal(c), binomial(c)) for c in range(start, stop + 1, 2)]
 
 
 def curve_to_csv(rows: list[tuple[int, float, float]]) -> str:

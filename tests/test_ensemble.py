@@ -1,6 +1,7 @@
 import contextlib
 import os
 import random
+import signal
 import threading
 import time
 from collections import Counter
@@ -1067,11 +1068,11 @@ class TestSplitLoop:
             assert split == tuple(shift_xor_distance(a_bits, k) for k in range(n))
         assert_no_children()
 
-    def test_full_split_fills_the_pipes(self):
-        # each child sends about 80 KB of int64 distances, more than a
-        # Linux pipe holds (64 KB), so it blocks until the parent, done
-        # with its own range, reads; a pair of equal lengths has no
-        # mirror and no shorter period, so all 30011 shifts are computed
+    def test_full_split_fills_many_pages(self):
+        # each child writes about 80 KB of int64 distances, many pages of
+        # the shared map, while the parent computes its own range; a pair
+        # of equal lengths has no mirror and no shorter period, so all
+        # 30011 shifts are computed
         a = random_bitstring(30011, 0.5, 12)
         b = random_bitstring(30011, 0.5, 13)
         with forced("split"):
@@ -1095,7 +1096,7 @@ class TestSplitLoop:
         assert_no_children()
 
     def test_child_exit_status_is_checked(self):
-        # every distance arrives, but the child then exits non-zero
+        # every distance is written, but the child then exits non-zero
         real_exit = os._exit
         parent = os.getpid()
 
@@ -1104,9 +1105,7 @@ class TestSplitLoop:
 
         b = random_bitstring(301, 0.5, 3)
         with forced("split"), mock.patch.object(os, "_exit", exit_three):
-            with pytest.raises(
-                ExactnessCheckFailed, match="status 3 after sending 160 of 160 bytes"
-            ):
+            with pytest.raises(ExactnessCheckFailed, match="status 3"):
                 build_self_ensemble(b, 61)
         assert_no_children()
 
@@ -1133,10 +1132,32 @@ class TestSplitLoop:
         assert_no_children()
 
     def test_short_child_result_raises(self):
+        # a short result fails the child's write into its cells
         b = random_bitstring(301, 0.5, 3)
         with forced("split"), in_children(lambda vals: vals[:-1]):
             with pytest.raises(
-                ExactnessCheckFailed, match="status 0 after sending 152 of 160 bytes"
+                ExactnessCheckFailed, match=r"shifts 21\.\.40 exited with status 1"
+            ):
+                build_self_ensemble(b, 61)
+        assert_no_children()
+
+    def test_child_killed_by_a_signal_raises(self):
+        # the second child kills itself partway through its range
+        parent = os.getpid()
+        loop = ensemble._shift_distances
+
+        def shift_distances(planes_a, planes_b, period, total, start, stop):
+            if os.getpid() != parent and start == 41:
+                loop(planes_a, planes_b, period, total, start, start + 10)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return loop(planes_a, planes_b, period, total, start, stop)
+
+        b = random_bitstring(301, 0.5, 3)
+        with forced("split"), mock.patch.object(
+            ensemble, "_shift_distances", shift_distances
+        ):
+            with pytest.raises(
+                ExactnessCheckFailed, match=r"shifts 41\.\.60 exited with status -9"
             ):
                 build_self_ensemble(b, 61)
         assert_no_children()
