@@ -14,11 +14,12 @@ import sys
 import threading
 from array import array
 from collections import Counter
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm
+from operator import and_
 
 from .bitstring import BitString
 from .errors import ExactnessCheckFailed, InvalidEnsembleSize
@@ -47,6 +48,23 @@ _PRODUCT_SHIFTS = 50
 # 2**27 and 0.65-0.69 at 2**28 (L = 2**16..2**23; a fork costs about 2 ms at
 # 24 MiB resident; same machine); 1.1-1.4 while the host ran both on one CPU
 _FORK_BITS = 1 << 27
+
+# the lane kernel serves shift loops of at least this many shifts on a
+# period of at least this many bits; _use_lanes gives the measurements
+_LANE_SHIFTS = 64
+_LANE_BITS = 1 << 20
+
+# a product build is spot-checked at this many shifts spread evenly over
+# its distinct block, at the block's last shift and at shifts 1 and g - 1
+_SPOT_SHIFTS = 8
+
+# (shift, mask within one 8-byte word) of the three delta swaps that
+# transpose the 8x8 bit block of every word
+_TRANSPOSE8 = (
+    (7, 0x00AA00AA00AA00AA),
+    (14, 0x0000CCCC0000CCCC),
+    (28, 0x00000000F0F0F0F0),
+)
 
 
 @dataclass(frozen=True)
@@ -144,6 +162,7 @@ def _build(
     planes_a = _planes(a, period)
     planes_b = planes_a if b is a else _planes(b, period)
     work = shifts * period * len(planes_a) * len(planes_b)
+    operands = (planes_a, planes_b, period, total_ones)
     if _use_product(work, period, width):
         a_slots = _folded(planes_a, period, width, reverse=True)
         b_slots = _folded(planes_b, period, width, reverse=False)
@@ -152,14 +171,26 @@ def _build(
     else:
         # observation 0 of a self ensemble is the self-match
         first = 1 if mode == SELF_MODE else 0
-        operands = (planes_a, planes_b, period, total_ones)
-        block = (0,) * first + _loop_distances(operands, first, shifts, work)
+        if _use_lanes(shifts - first, period):
+            kernel = _lane_kernel(*operands, shifts - 1)
+        else:
+            kernel = partial(_shift_distances, *operands)
+        block = (0,) * first + _loop_distances(kernel, first, shifts, work)
         decode = None
     counts, total = _counts(block, decode, mode, length, period, n_shifts)
     # the loop computes observed shifts only; the product decodes every
     # code of its whole block, observed or not
     distances = counts if decode is None else decode.values()
     _check_exact(distances, total, length, ones_a, ones_b, max_distance)
+    if decode is not None:
+        # a self block stops at shift period//2; shift n > period//2 is
+        # the mirror of period - n
+        spread = range(0, len(block), -(-len(block) // _SPOT_SHIFTS))
+        _spot_check(
+            lambda n: decode[block[n if n < len(block) else period - n]],
+            operands,
+            {1 % period, period - 1, len(block) - 1, *spread},
+        )
     entries = tuple(sorted(counts.items()))
     return Ensemble(
         entries, n_shifts, length, max_distance, mode, block=block, decode=decode
@@ -227,16 +258,36 @@ def _use_product(work: int, slots: int, width: int) -> bool:
     )
 
 
+def _use_lanes(shifts: int, period: int) -> bool:
+    """True when the lane kernel is cheaper than ``_shift_distances`` for
+    a loop of ``shifts`` shifts over ``period`` bits.
+
+    The lane kernel pays a transpose of 2.2-3.7 ns a bit up front, and
+    about 35 us of interpreter work a shift on any period, then saves
+    most of the popcount of every shift.  Loop time over lane time, the
+    transpose included (one-plane random self strings, one process, best
+    of 3; CPython 3.11, 2-core Intel Xeon VM): with 257 shifts 0.29 at
+    2**16 bits, 0.72 at 2**18, 0.79 at 2**19, 1.20 at 2**20, 1.44 at
+    2**21 - 3, 1.66 at 2**22 and 2.01 at 2**23; with 64 shifts 0.85 at
+    2**20, 0.98 at 2**21 - 3, 1.23 at 2**22 and 1.30 at 2**23; with 32
+    shifts 0.70 at 2**20 and 0.96 at 2**23.  A split loop transposes
+    once, before it forks, so its ranges share that cost.
+    """
+    return shifts >= _LANE_SHIFTS and period >= _LANE_BITS
+
+
 def _loop_distances(
-    operands: tuple, first: int, n_shifts: int, work: int
+    distances: Callable[[int, int], list[int]],
+    first: int,
+    n_shifts: int,
+    work: int,
 ) -> tuple[int, ...]:
-    """Distances d(first..n_shifts-1) from ``_shift_distances`` on
-    ``operands``, its arguments before the range (both strings' count
-    planes, the period and ``total_ones``), split into one contiguous
-    range per CPU that ``_cpus`` grants ``work``.
+    """Distances d(first..n_shifts-1), from ``distances(start, stop)``
+    over one contiguous range per CPU that ``_cpus`` grants ``work``.
 
     This process computes the first range, one forked child each of the
-    others; each writes its distances into its own int64 cells of one
+    others, all from the operands ``distances`` holds, built once before
+    the fork; each writes its distances into its own int64 cells of one
     shared map, which a result of the wrong length makes raise.  A child
     exits with status 0 only after its write, by ``os._exit``, so it
     never returns into the caller's stack or flushes inherited stdio
@@ -250,9 +301,7 @@ def _loop_distances(
     with mmap.mmap(-1, 8 * count) as shared, memoryview(shared).cast("q") as cells:
 
         def fill(start: int, stop: int) -> None:
-            cells[start - first : stop - first] = array(
-                "q", _shift_distances(*operands, start, stop)
-            )
+            cells[start - first : stop - first] = array("q", distances(start, stop))
 
         children = []
         try:
@@ -357,9 +406,184 @@ def _shift_distances(
     return vals
 
 
+def _spot_check(
+    distance: Callable[[int], int], operands: tuple, shifts: Iterable[int]
+) -> None:
+    """Raise unless ``distance(n)`` is the distance that ``_shift_distances``
+    computes on ``operands`` (both strings' count planes, the period and
+    ``total_ones``) for each n in ``shifts``.
+
+    The shift loop shares no code with the product's fold, multiply and
+    decode, nor with the lane kernel's transpose and adders, so it is an
+    independent oracle; it costs one pass over the period per plane pair
+    and shift.  It catches what the range, parity and sum checks let
+    through, such as two distances moved by +2 and -2.
+    """
+    for n in sorted(shifts):
+        expected = _shift_distances(*operands, n, n + 1)[0]
+        if distance(n) != expected:
+            raise ExactnessCheckFailed(
+                f"distance at shift {n} is {distance(n)}, "
+                f"but the shift loop gives {expected}"
+            )
+
+
+def _lane_kernel(
+    planes_a: list, planes_b: list, period: int, total_ones: int, last: int
+) -> Callable[[int, int], list[int]]:
+    """The lane kernel for shifts 0..``last``: ``distances(start, stop)``,
+    which ``_loop_distances`` calls once per range, and which checks the
+    first and last shift of its range with ``_spot_check``.
+
+    Every plane is cut into 64 lanes (``_lanes``), once, before any range
+    runs.  b's planes are first extended linearly by ``reach``, ``last``
+    rounded up to a multiple of 64 (``_extended``), so that each rotation
+    by n <= reach is a plain right shift of the extension by reach - n:
+    in lanes, a right shift of each lane by (reach - n) // 64 or one more,
+    with the lanes renumbered by (reach - n) % 64.  In self mode a's
+    planes are b's, and its lanes are those of b's extension from bit
+    ``reach`` on, cut to the period: each string is transposed once.
+    """
+    reach = -(-last // 64) * 64
+    b_lanes = [_lanes(_extended(q, period, reach), period + reach) for q in planes_b]
+    if planes_a is planes_b:
+        a_lanes = [
+            [
+                (lane >> reach // 64) & ((1 << (period - v + 63) // 64) - 1)
+                for v, lane in enumerate(lanes)
+            ]
+            for lanes in b_lanes
+        ]
+    else:
+        a_lanes = [_lanes(p, period) for p in planes_a]
+    operands = (planes_a, planes_b, period, total_ones)
+
+    def distances(start: int, stop: int) -> list[int]:
+        vals = _lane_shifts(a_lanes, b_lanes, reach, total_ones, start, stop)
+        _spot_check(lambda n: vals[n - start], operands, {start, stop - 1})
+        return vals
+
+    return distances
+
+
+def _extended(q: int, period: int, reach: int) -> int:
+    """The ``period``-bit ``q`` extended linearly by ``reach`` bits: bit y
+    of the result, for y < period + reach, is bit (y - reach) mod period
+    of ``q``."""
+    skip = -reach % period
+    repeated = q
+    for _ in range((reach + skip) // period):
+        repeated = repeated << period | q
+    return repeated >> skip
+
+
+def _lanes(x: int, nbits: int) -> list[int]:
+    """The 64 lanes of the ``nbits``-bit ``x``: bit t of lane v is bit
+    64*t + v of ``x``.
+
+    ``_residues8`` splits ``x`` by residue b modulo 8, and each of those
+    by residue c modulo 8 again: bit t of the second split is bit
+    8*(8*t + c) + b = 64*t + 8*c + b of ``x``.
+    """
+    words = -(-nbits // 64)
+    masks = [
+        int.from_bytes(mask.to_bytes(8, "little") * words, "little")
+        for _, mask in _TRANSPOSE8
+    ]
+    lanes = [0] * 64
+    for b, residue in enumerate(_residues8(x, words, masks)):
+        for c, lane in enumerate(_residues8(residue, -(-words // 8), masks)):
+            lanes[8 * c + b] = lane
+    return lanes
+
+
+def _residues8(x: int, words: int, masks: list[int]) -> list[int]:
+    """The bits of ``x``, which fits ``words`` 8-byte words, at positions
+    b modulo 8, for b = 0..7: bit t of entry b is bit 8*t + b of ``x``.
+
+    Three delta swaps with ``masks`` (``_TRANSPOSE8`` repeated over at
+    least ``words`` words) transpose the 8x8 bit block of every word, so
+    byte b of word w holds bits 64*w + 8*k + b, k = 0..7; the bytes b,
+    b + 8, ... of the little-endian words are entry b.
+    """
+    for (shift, _), mask in zip(_TRANSPOSE8, masks):
+        swap = (x ^ x >> shift) & mask
+        x ^= swap ^ swap << shift
+    data = x.to_bytes(8 * words, "little")
+    return [int.from_bytes(data[b::8], "little") for b in range(8)]
+
+
+def _lane_shifts(
+    a_lanes: list,
+    b_lanes: list,
+    reach: int,
+    total_ones: int,
+    start: int,
+    stop: int,
+) -> list[int]:
+    """Distances ``total_ones - 2*C(n)`` for n in [start, stop) from the
+    lanes of a's planes and of b's planes extended by ``reach`` bits.
+
+    With m, r = divmod(reach - n, 64), bit 64*t + v of b's plane rotated
+    by n is bit 64*(t + m) + v + r of the extension: bit t of lane v + r
+    shifted right by m, or of lane v + r - 64 shifted by m + 1 when
+    v + r >= 64.  The lanes shifted by m serve 64 shifts, and those of
+    the group before, shifted by m + 1, are reused.  Lane v of a's plane
+    i ANDed with that lane of b's plane j counts at weight i + j.  The
+    AND results go through carry-save full adders as they come: each
+    weight keeps a running sum and at most one waiting vector, and a
+    third vector turns the three into a sum at that weight and a carry
+    into the next.  Only the few vectors left are popcounted, so the
+    shift costs mostly ANDs and XORs, several times cheaper a bit than
+    ``int.bit_count``, and no shift of a whole plane.
+    """
+    # a carry reaches level w only at a bit whose count is at least 2**w,
+    # and no count reaches 64 * 2**len(a_lanes) * 2**len(b_lanes)
+    levels = len(a_lanes) + len(b_lanes) + 6
+    vals = []
+    group, current, upper = None, [], []
+    for n in range(start, stop):
+        m, r = divmod(reach - n, 64)
+        if m != group:
+            if group != m + 1:
+                current = [[lane >> m + 1 for lane in lanes] for lanes in b_lanes]
+            upper = current
+            current = [[lane >> m for lane in lanes] for lanes in b_lanes]
+            group = m
+        # a zero vector adds nothing, so 0 also marks an empty place
+        sums, waiting = [0] * levels, [0] * levels
+        for j, (low, high) in enumerate(zip(current, upper)):
+            rotated = low[r:] + high[:r]
+            for i, lanes in enumerate(a_lanes):
+                for x in map(and_, lanes, rotated):
+                    w = i + j
+                    while x:
+                        s = sums[w]
+                        if not s:
+                            sums[w] = x
+                            break
+                        y = waiting[w]
+                        if not y:
+                            waiting[w] = x
+                            break
+                        waiting[w] = 0
+                        u = s ^ y
+                        sums[w] = u ^ x
+                        x = s & y | u & x
+                        w += 1
+        c = sum(
+            (s.bit_count() + y.bit_count()) << w
+            for w, (s, y) in enumerate(zip(sums, waiting))
+        )
+        vals.append(total_ones - 2 * c)
+    return vals
+
+
 def _slots(bits: bytes, width: int) -> Decimal:
     """The integer whose ``width``-digit slots hold ``bits``, first bit highest."""
-    buf = bytearray(b"0" * (width * len(bits)))
+    # repeated in place, with no bytes temporary of the same size: freed
+    # temporaries below the slots' decimal would stay resident
+    buf = bytearray(b"0") * (width * len(bits))
     buf[width - 1 :: width] = bits
     return Decimal(buf.decode())
 
@@ -371,10 +595,15 @@ def _folded(planes: list[int], period: int, width: int, reverse: bool) -> Decima
     if ``reverse``.  Counts wider than a slot carry into the next one,
     which leaves the integer the same."""
     step = -1 if reverse else 1
-    folded = Decimal(0)
-    for plane in reversed(planes):
-        bits = format(plane, f"0{period}b")[::step].encode()
-        folded = _EXACT.add(_EXACT.add(folded, folded), _slots(bits, width))
+
+    def slots(plane: int) -> Decimal:
+        return _slots(format(plane, f"0{period}b")[::step].encode(), width)
+
+    # starting from the top plane's slots, not from 0, spares an add that
+    # would copy the whole operand while the slots are still alive
+    folded = slots(planes[-1])
+    for plane in reversed(planes[:-1]):
+        folded = _EXACT.add(_EXACT.add(folded, folded), slots(plane))
     return folded
 
 

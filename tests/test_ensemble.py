@@ -2,15 +2,17 @@ import contextlib
 import os
 import random
 import signal
+import sys
 import threading
 import time
+from array import array
 from collections import Counter
 from math import gcd, lcm
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strtherm import ensemble
@@ -325,12 +327,15 @@ def bit_strings(length):
     return st.text(alphabet="01", min_size=length, max_size=length)
 
 
-# settings that force one kernel for every ensemble size; the split loop
-# gets three CPUs on any host, so short ensembles leave some idle
+# settings that force one kernel for every ensemble size; the split loops
+# get three CPUs on any host, so short ensembles leave some idle
+LANES = {"_PRODUCT_SHIFTS": 10**9, "_LANE_SHIFTS": 0, "_LANE_BITS": 0}
 KERNEL_SETTINGS = {
     "product": {"_PRODUCT_SHIFTS": 0},
     "loop": {"_PRODUCT_SHIFTS": 10**9},
     "split": {"_PRODUCT_SHIFTS": 10**9, "_FORK_BITS": 0},
+    "lanes": LANES,
+    "split lanes": {**LANES, "_FORK_BITS": 0},
 }
 KERNELS = pytest.mark.parametrize("kernel", list(KERNEL_SETTINGS))
 SPLIT_CPUS = 3
@@ -854,6 +859,23 @@ def corrupt_decode(monkeypatch, kind):
     monkeypatch.setattr(ensemble._DistanceTable, "__missing__", corrupted)
 
 
+def corrupt_cells(monkeypatch, moves):
+    """Move the distance of product cell j by ``moves[j]``, an even
+    number: the cell's digits, C(j), move by half of it the other way."""
+    product = ensemble._product_codes
+
+    def corrupted(*args):
+        block = product(*args)
+        cells = array(block.format, block)
+        for j, move in moves.items():
+            c = int(cells[j].to_bytes(block.itemsize, sys.byteorder)) - move // 2
+            digits = str(c).zfill(block.itemsize).encode()
+            cells[j] = int.from_bytes(digits, sys.byteorder)
+        return memoryview(cells)
+
+    monkeypatch.setattr(ensemble, "_product_codes", corrupted)
+
+
 def corrupt_loop(monkeypatch, kind):
     loop = ensemble._shift_distances
     monkeypatch.setattr(
@@ -1009,6 +1031,47 @@ class TestExactnessCheck:
             loop = build_pair_ensemble(a, b, 16384 + 1)
         assert product.decode is not None and loop.decode is None
         assert product.entries == loop.entries
+
+    # cells 1 and 2 stand for the same number of observations (shifts 1,
+    # 2 and their mirrors; or L/g each in the pair), so +2 and -2 on them
+    # keep every distance in range, its parity and the sum
+    @pytest.mark.parametrize("mode", ["self", "pair"])
+    def test_product_spot_check_catches_moved_cells(self, mode, monkeypatch):
+        if mode == "self":
+            args, build = (random_bitstring(8192, 0.5, 9),), build_self_ensemble
+        else:
+            a, b = random_bitstring(8192, 0.5, 9), random_bitstring(12288, 0.5, 10)
+            args, build = (a, b), build_pair_ensemble
+        with forced("loop"):
+            want = build(*args).values
+        corrupt_cells(monkeypatch, {1: 2, 2: -2})
+        with forced("product"), mock.patch.object(ensemble, "_spot_check"):
+            moved = build(*args).values
+        assert (moved[1], moved[2]) == (want[1] + 2, want[2] - 2)
+        with forced("product"), pytest.raises(
+            ExactnessCheckFailed,
+            match=rf"shift 1 is {want[1] + 2}, but the shift loop gives {want[1]}$",
+        ):
+            build(*args)
+
+    @pytest.mark.parametrize("mode", ["self", "pair"])
+    def test_product_spot_check_shifts(self, mode):
+        # shifts 1 and g - 1, the block's last and 8 spread over the block
+        if mode == "self":
+            args, build = (random_bitstring(1001, 0.5, 3),), build_self_ensemble
+        else:
+            a, b = random_bitstring(2048, 0.5, 4), random_bitstring(3072, 0.5, 5)
+            args, build = (a, b), build_pair_ensemble
+        with forced("product"), mock.patch.object(
+            ensemble, "_spot_check", wraps=ensemble._spot_check
+        ) as spot:
+            build(*args)
+        # self: shifts 0..500 distinct, every 63rd; pair: 0..1023, every 128th
+        if mode == "self":
+            spread, last = range(0, 501, 63), [500, 1000]
+        else:
+            spread, last = range(0, 1024, 128), [1023]
+        assert sorted(spot.call_args.args[2]) == sorted([1, *spread, *last])
 
     def test_partial_loop_skips_the_sum(self, monkeypatch):
         # only a whole distinct block has a known sum
@@ -1235,3 +1298,120 @@ class TestSplitLoop:
         vals = ensemble._shift_distances([value], [value], 64, total_ones, 0, 3)
         assert vals == naive_distances(bits, bits, range(3))
         assert events == [("block", 16), "freed", "shifts"]
+
+
+@st.composite
+def lane_operands(draw):
+    """Count planes of a period of 1-200 bits, odd ones included: 1-4
+    planes each, or one list for both as in self mode; the last shift of
+    the loop, so that the linear extension, rounded up to 64 bits, may be
+    longer than the period; and a range [start, stop) within it."""
+    period = draw(st.integers(1, 200), label="period")
+    plane_lists = st.lists(st.integers(0, 2**period - 1), min_size=1, max_size=4)
+    planes_a = draw(plane_lists, label="planes_a")
+    same = draw(st.booleans(), label="self")
+    planes_b = planes_a if same else draw(plane_lists, label="planes_b")
+    last = draw(st.integers(0, period), label="last")
+    start = draw(st.integers(0, last), label="start")
+    stop = draw(st.integers(start + 1, last + 1), label="stop")
+    return (planes_a, planes_b, period, 10**6), last, start, stop
+
+
+def in_range_corrupted(where):
+    """Patch the lane kernel so that the range starting at ``where`` comes
+    out 2 higher in its first distance and 2 lower in its last; every
+    other range, and the shift loop, stay true."""
+    lanes = ensemble._lane_shifts
+
+    def lane_shifts(*args):
+        vals = lanes(*args)
+        if args[4] == where:
+            vals[0] += 2
+            vals[-1] -= 2
+        return vals
+
+    return mock.patch.object(ensemble, "_lane_shifts", lane_shifts)
+
+
+# four all-one planes a string: every AND of two lanes is all ones, so
+# the adders carry through the most levels
+DENSE_LANES = (([2**200 - 1] * 4, [2**200 - 1] * 4, 200, 10**6), 200, 0, 201)
+
+
+class TestLaneKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(lane_operands())
+    @example(DENSE_LANES)
+    def test_lanes_match_the_loop(self, drawn):
+        operands, last, start, stop = drawn
+        distances = ensemble._lane_kernel(*operands, last)
+        assert distances(start, stop) == ensemble._shift_distances(
+            *operands, start, stop
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 700).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))
+        )
+    )
+    def test_lanes_split_by_residue(self, drawn):
+        nbits, x = drawn
+        for v, lane in enumerate(ensemble._lanes(x, nbits)):
+            bits = range(v, nbits, 64)
+            assert lane == sum(((x >> i) & 1) << t for t, i in enumerate(bits)), v
+
+    @pytest.mark.parametrize(
+        "nbits, n, lanes",
+        [
+            # self mode computes shifts 1..n-1: 64 of them from n = 65 on
+            (2**20, 65, True),
+            (2**20, 64, False),
+            (2**20 - 1, 65, False),
+            (2**20 + 1, 65, True),
+        ],
+    )
+    def test_dispatch_switch(self, nbits, n, lanes):
+        b = random_bitstring(nbits, 0.5, 14)
+        assert ensemble._LANE_SHIFTS == 64 and ensemble._LANE_BITS == 2**20
+        with mock.patch.object(
+            ensemble, "_lane_kernel", wraps=ensemble._lane_kernel
+        ) as kernel, mock.patch.object(
+            ensemble, "_shift_distances", wraps=ensemble._shift_distances
+        ) as loop:
+            vals = build_self_ensemble(b, n).values
+        assert kernel.called == lanes
+        # the lane kernel has the loop recompute the ends of its one range
+        assert shifts_of(loop) == ([1, n - 1] if lanes else list(range(1, n)))
+        assert vals == tuple(shift_xor_distance(b, k) for k in range(n))
+
+    @pytest.mark.parametrize("kernel", ["lanes", "split lanes"])
+    def test_corrupted_range_fails_its_spot_check(self, kernel):
+        # self mode: shifts 1..60 in three ranges under the split, one
+        # range otherwise; this process runs the first from shift 1
+        b = random_bitstring(301, 0.5, 3)
+        with forced(kernel), in_range_corrupted(1):
+            with pytest.raises(ExactnessCheckFailed, match=r"shift 1 is \d+, but"):
+                build_self_ensemble(b, 61)
+        assert_no_children()
+
+    def test_corrupted_child_range_fails_its_spot_check(self):
+        b = random_bitstring(301, 0.5, 3)
+        with forced("split lanes"), in_range_corrupted(21):
+            with pytest.raises(
+                ExactnessCheckFailed, match=r"shifts 21\.\.40 exited with status 1"
+            ):
+                build_self_ensemble(b, 61)
+        assert_no_children()
+
+    def test_split_lanes_share_one_transpose(self):
+        b = random_bitstring(301, 0.5, 3)
+        with forced("split lanes"), mock.patch.object(
+            ensemble, "_lanes", wraps=ensemble._lanes
+        ) as lanes, mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            vals = build_self_ensemble(b, 61).values
+        assert fork.call_count == SPLIT_CPUS - 1
+        # one string in self mode: b's extension alone is transposed
+        assert lanes.call_count == 1
+        assert vals == tuple(shift_xor_distance(b, k) for k in range(61))
+        assert_no_children()
