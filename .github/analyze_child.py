@@ -1,6 +1,7 @@
 """Run `strtherm analyze` as a child under `timeout`, write its JSON report
 and fail unless the report has the expected `n_obs` and, with
---max-rss-mib, the child's peak RSS stays under that bound.
+--max-rss-mib, the child's peak RSS stays under that bound; on success,
+print that peak in MiB.
 
     python .github/analyze_child.py --seconds S --n-obs N [--max-rss-mib M] \
         --out REPORT.json -- FILE [ANALYZE OPTIONS ...]
@@ -36,3 +37,4 @@ with open(args.out) as f:
     n_obs = json.load(f)["n_obs"]
 if n_obs != args.n_obs:
     sys.exit(f"n_obs {n_obs} != {args.n_obs}")
+print(f"{peak_mib:.2f}")

@@ -58,6 +58,9 @@ _LANE_BITS = 1 << 20
 # its distinct block, at the block's last shift and at shifts 1 and g - 1
 _SPOT_SHIFTS = 8
 
+# bytes of a failed worker's error text kept after the shared distances
+_NOTE_BYTES = 256
+
 # (shift, mask within one 8-byte word) of the three delta swaps that
 # transpose the 8x8 bit block of every word
 _TRANSPOSE8 = (
@@ -262,16 +265,17 @@ def _use_lanes(shifts: int, period: int) -> bool:
     """True when the lane kernel is cheaper than ``_shift_distances`` for
     a loop of ``shifts`` shifts over ``period`` bits.
 
-    The lane kernel pays a transpose of 2.2-3.7 ns a bit up front, and
+    The lane kernel pays a transpose of 1.0-1.7 ns a bit up front, and
     about 35 us of interpreter work a shift on any period, then saves
     most of the popcount of every shift.  Loop time over lane time, the
     transpose included (one-plane random self strings, one process, best
-    of 3; CPython 3.11, 2-core Intel Xeon VM): with 257 shifts 0.29 at
-    2**16 bits, 0.72 at 2**18, 0.79 at 2**19, 1.20 at 2**20, 1.44 at
-    2**21 - 3, 1.66 at 2**22 and 2.01 at 2**23; with 64 shifts 0.85 at
-    2**20, 0.98 at 2**21 - 3, 1.23 at 2**22 and 1.30 at 2**23; with 32
-    shifts 0.70 at 2**20 and 0.96 at 2**23.  A split loop transposes
-    once, before it forks, so its ranges share that cost.
+    of 3, range of 4 sweeps; CPython 3.11, 2-core Intel Xeon VM): with
+    257 shifts 0.24-0.33 at 2**16 bits, 0.62-0.74 at 2**18, 0.74-0.89 at
+    2**19, 0.65-1.19 at 2**20, 1.01-1.59 at 2**21 - 3, 1.82-2.53 at 2**22
+    and 1.61-2.06 at 2**23; with 64 shifts at the last four sizes
+    0.84-0.88, 0.68-1.47, 0.91-1.28 and 0.87-1.49; with 32 shifts
+    0.41-0.66 at 2**20 and 0.76-1.17 at 2**23.  A split loop transposes
+    once, before it forks, so its ranges cannot divide that cost.
     """
     return shifts >= _LANE_SHIFTS and period >= _LANE_BITS
 
@@ -291,42 +295,51 @@ def _loop_distances(
     shared map, which a result of the wrong length makes raise.  A child
     exits with status 0 only after its write, by ``os._exit``, so it
     never returns into the caller's stack or flushes inherited stdio
-    buffers.  Every child is reaped before this returns or raises.
+    buffers; one that raises leaves the error's text in its note after
+    the cells.  Every child is reaped before this returns or raises.
     """
     count = n_shifts - first
     if count == 0:
         return ()
     workers = min(count, _cpus(work))
     bounds = [first + count * i // workers for i in range(workers + 1)]
-    with mmap.mmap(-1, 8 * count) as shared, memoryview(shared).cast("q") as cells:
+    notes = 8 * count  # the children's notes follow the cells
+    with (
+        mmap.mmap(-1, notes + _NOTE_BYTES * (workers - 1)) as shared,
+        memoryview(shared)[:notes].cast("q") as cells,
+    ):
 
         def fill(start: int, stop: int) -> None:
             cells[start - first : stop - first] = array("q", distances(start, stop))
 
         children = []
         try:
-            for start, stop in zip(bounds[1:], bounds[2:]):
+            for i, (start, stop) in enumerate(zip(bounds[1:], bounds[2:])):
+                note = notes + _NOTE_BYTES * i
                 pid = os.fork()
                 if pid == 0:
-                    status = 1
                     try:
                         fill(start, stop)
-                        status = 0
+                        os._exit(0)
+                    except Exception as error:
+                        text = f": {error}".encode()[:_NOTE_BYTES]
+                        shared[note : note + len(text)] = text
                     finally:
-                        os._exit(status)
-                children.append((pid, start, stop))
+                        os._exit(1)
+                children.append((pid, start, stop, note))
             fill(first, bounds[1])
             while children:
-                pid, start, stop = children.pop(0)
+                pid, start, stop, note = children.pop(0)
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 if code != 0:
+                    text = shared[note : note + _NOTE_BYTES].rstrip(b"\0")
                     raise ExactnessCheckFailed(
                         f"the worker for shifts {start}..{stop - 1} exited "
-                        f"with status {code}"
+                        f"with status {code}{text.decode(errors='replace')}"
                     )
             return tuple(cells)
         finally:
-            for pid, _, _ in children:
+            for pid, *_ in children:
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
@@ -481,36 +494,28 @@ def _lanes(x: int, nbits: int) -> list[int]:
     """The 64 lanes of the ``nbits``-bit ``x``: bit t of lane v is bit
     64*t + v of ``x``.
 
-    ``_residues8`` splits ``x`` by residue b modulo 8, and each of those
-    by residue c modulo 8 again: bit t of the second split is bit
-    8*(8*t + c) + b = 64*t + 8*c + b of ``x``.
+    Byte c of every little-endian 8-byte word of ``x``, the slice
+    ``data[c::8]``, holds bit 64*t + 8*c + b of ``x`` at bit 8*t + b.
+    Three delta swaps (``_TRANSPOSE8`` repeated over the slice's words)
+    transpose the 8x8 bit block of each of its words, so byte b of word w
+    holds bits 64*w + 8*k + b of the slice, k = 0..7; its bytes b, b + 8,
+    ... are lane 8*c + b.
     """
-    words = -(-nbits // 64)
+    size = -(-nbits // 512)  # 8-byte words of each byte-stride slice
     masks = [
-        int.from_bytes(mask.to_bytes(8, "little") * words, "little")
+        int.from_bytes(mask.to_bytes(8, "little") * size, "little")
         for _, mask in _TRANSPOSE8
     ]
-    lanes = [0] * 64
-    for b, residue in enumerate(_residues8(x, words, masks)):
-        for c, lane in enumerate(_residues8(residue, -(-words // 8), masks)):
-            lanes[8 * c + b] = lane
+    data = x.to_bytes(-(-nbits // 64) * 8, "little")
+    lanes = []
+    for c in range(8):
+        y = int.from_bytes(data[c::8], "little")
+        for (shift, _), mask in zip(_TRANSPOSE8, masks):
+            swap = (y ^ y >> shift) & mask
+            y ^= swap ^ swap << shift
+        column = y.to_bytes(8 * size, "little")
+        lanes += [int.from_bytes(column[b::8], "little") for b in range(8)]
     return lanes
-
-
-def _residues8(x: int, words: int, masks: list[int]) -> list[int]:
-    """The bits of ``x``, which fits ``words`` 8-byte words, at positions
-    b modulo 8, for b = 0..7: bit t of entry b is bit 8*t + b of ``x``.
-
-    Three delta swaps with ``masks`` (``_TRANSPOSE8`` repeated over at
-    least ``words`` words) transpose the 8x8 bit block of every word, so
-    byte b of word w holds bits 64*w + 8*k + b, k = 0..7; the bytes b,
-    b + 8, ... of the little-endian words are entry b.
-    """
-    for (shift, _), mask in zip(_TRANSPOSE8, masks):
-        swap = (x ^ x >> shift) & mask
-        x ^= swap ^ swap << shift
-    data = x.to_bytes(8 * words, "little")
-    return [int.from_bytes(data[b::8], "little") for b in range(8)]
 
 
 def _lane_shifts(

@@ -1151,11 +1151,27 @@ class TestSplitLoop:
 
         b = random_bitstring(301, 0.5, 3)
         with forced("split"), in_children(fail):
-            # ranges 1..20, 21..40 and 41..60: the first child fails first
+            # ranges 1..20, 21..40 and 41..60: the first child fails first,
+            # and its error's text reaches this process through the map
             with pytest.raises(
-                ExactnessCheckFailed, match=r"shifts 21\.\.40 exited with status 1"
+                ExactnessCheckFailed,
+                match=r"shifts 21\.\.40 exited with status 1: worker fault$",
             ):
                 build_self_ensemble(b, 61)
+        assert_no_children()
+
+    def test_long_child_error_is_cut_to_its_note(self):
+        def fail(vals):
+            raise RuntimeError("x" * 1000)
+
+        b = random_bitstring(301, 0.5, 3)
+        with forced("split"), in_children(fail):
+            with pytest.raises(ExactnessCheckFailed) as raised:
+                build_self_ensemble(b, 61)
+        note = ": " + "x" * (ensemble._NOTE_BYTES - 2)
+        assert str(raised.value) == (
+            "the worker for shifts 21..40 exited with status 1" + note
+        )
         assert_no_children()
 
     def test_child_exit_status_is_checked(self):
@@ -1219,8 +1235,9 @@ class TestSplitLoop:
         with forced("split"), mock.patch.object(
             ensemble, "_shift_distances", shift_distances
         ):
+            # a killed child leaves no note
             with pytest.raises(
-                ExactnessCheckFailed, match=r"shifts 41\.\.60 exited with status -9"
+                ExactnessCheckFailed, match=r"shifts 41\.\.60 exited with status -9$"
             ):
                 build_self_ensemble(b, 61)
         assert_no_children()
@@ -1355,11 +1372,35 @@ class TestLaneKernel:
             lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))
         )
     )
+    # word counts that are not a multiple of 8: the byte-stride slices
+    # are padded to whole words before their transpose
+    @example((63, random.Random(63).getrandbits(63)))
+    @example((64, random.Random(64).getrandbits(64)))
+    @example((65, random.Random(65).getrandbits(65)))
+    @example((511, random.Random(511).getrandbits(511)))
+    @example((512, random.Random(512).getrandbits(512)))
+    @example((513, random.Random(513).getrandbits(513)))
     def test_lanes_split_by_residue(self, drawn):
         nbits, x = drawn
         for v, lane in enumerate(ensemble._lanes(x, nbits)):
             bits = range(v, nbits, 64)
             assert lane == sum(((x >> i) & 1) << t for t, i in enumerate(bits)), v
+
+    @pytest.mark.parametrize("nbits", [2**20 - 1, 2**21 - 3, 2**23 + 64])
+    def test_large_lanes_sampled(self, nbits):
+        # a per-bit reference is too slow here: sampled bits, and every
+        # set bit in exactly one lane
+        x = random.Random(nbits).getrandbits(nbits)
+        lanes = ensemble._lanes(x, nbits)
+        assert len(lanes) == 64
+        assert sum(lane.bit_count() for lane in lanes) == x.bit_count()
+        rng = random.Random(17)
+        for _ in range(256):
+            v = rng.randrange(64)
+            t = rng.randrange(-(-(nbits - v) // 64))
+            assert (lanes[v] >> t) & 1 == (x >> (64 * t + v)) & 1, (v, t)
+        for v, lane in enumerate(lanes):
+            assert lane.bit_length() <= -(-(nbits - v) // 64), v
 
     @pytest.mark.parametrize(
         "nbits, n, lanes",
@@ -1398,8 +1439,11 @@ class TestLaneKernel:
     def test_corrupted_child_range_fails_its_spot_check(self):
         b = random_bitstring(301, 0.5, 3)
         with forced("split lanes"), in_range_corrupted(21):
+            # the child's spot check names the shift and both distances
             with pytest.raises(
-                ExactnessCheckFailed, match=r"shifts 21\.\.40 exited with status 1"
+                ExactnessCheckFailed,
+                match=r"shifts 21\.\.40 exited with status 1: "
+                r"distance at shift 21 is \d+, but the shift loop gives \d+$",
             ):
                 build_self_ensemble(b, 61)
         assert_no_children()
