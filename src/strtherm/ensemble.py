@@ -14,10 +14,10 @@ import sys
 import threading
 from array import array
 from collections import Counter
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import gcd, lcm
 from operator import and_
 
@@ -27,9 +27,13 @@ from .errors import ExactnessCheckFailed, InvalidEnsembleSize
 SELF_MODE = "self"
 PAIR_MODE = "pair"
 
-# exact integer arithmetic on decimals of any length; libmpdec multiplies
-# long operands with a number-theoretic transform
+# exact integer arithmetic on decimals of any length, for the product where
+# libgmp cannot be loaded; libmpdec multiplies long operands with a
+# number-theoretic transform
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+# digit characters to the values 0-9
+_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 # the product pays off above this many shifts per slot digit per bit of
 # the length; the measured crossover was 25-72 at slot widths 3 and 5 and
@@ -92,11 +96,13 @@ class Histogram:
 class Ensemble(Histogram):
     """The histogram of a shift-XOR ensemble, with the distinct
     observations it was counted from: ``block`` holds them, as distances
-    or as cell codes that ``decode`` maps to distances; ``values`` orders
-    them."""
+    or as correlations that ``decode`` maps to distances; ``values``
+    orders them."""
 
     block: Sequence[int] = field(kw_only=True, repr=False, compare=False)
-    decode: Mapping[int, int] | None = field(kw_only=True, repr=False, compare=False)
+    decode: Callable[[int], int] | None = field(
+        kw_only=True, repr=False, compare=False
+    )
 
     @cached_property
     def values(self) -> tuple[int, ...]:
@@ -104,7 +110,7 @@ class Ensemble(Histogram):
         if self.decode is None:
             cycle = tuple(self.block)
         else:
-            cycle = tuple(map(self.decode.__getitem__, self.block))
+            cycle = tuple(map(self.decode, self.block))
         if self.mode == SELF_MODE and len(cycle) == self.nbits // 2 + 1:
             # the shifts past nbits//2 mirror those below it
             cycle += cycle[(self.nbits + 1) // 2 - 1 : 0 : -1]
@@ -159,18 +165,16 @@ def _build(
     # no correlation, and no count of set bits per residue modulo the
     # period, exceeds the smaller set-bit count unless that count is 0,
     # and then one operand and the product are 0
-    width = len(str(min(ones_a, ones_b)))
+    bound = min(ones_a, ones_b)
     distinct = length // 2 + 1 if mode == SELF_MODE else period
     shifts = min(n_shifts, distinct)
     planes_a = _planes(a, period)
     planes_b = planes_a if b is a else _planes(b, period)
     work = shifts * period * len(planes_a) * len(planes_b)
     operands = (planes_a, planes_b, period, total_ones)
-    if _use_product(work, period, width):
-        a_slots = _folded(planes_a, period, width, reverse=True)
-        b_slots = _folded(planes_b, period, width, reverse=False)
-        block = _product_codes(a_slots, b_slots, period, distinct, width)
-        decode = _DistanceTable(total_ones, block.itemsize)
+    if _use_product(work, period, len(str(bound))):
+        block = _correlations(planes_a, planes_b, period, distinct, bound)
+        decode = partial(_distance, total_ones)
     else:
         # observation 0 of a self ensemble is the self-match
         first = 1 if mode == SELF_MODE else 0
@@ -180,17 +184,16 @@ def _build(
             kernel = partial(_shift_distances, *operands)
         block = (0,) * first + _loop_distances(kernel, first, shifts, work)
         decode = None
-    counts, total = _counts(block, decode, mode, length, period, n_shifts)
-    # the loop computes observed shifts only; the product decodes every
-    # code of its whole block, observed or not
-    distances = counts if decode is None else decode.values()
+    # the loop computes observed shifts only; the product's whole block,
+    # observed or not, is checked
+    counts, total, distances = _counts(block, decode, mode, length, period, n_shifts)
     _check_exact(distances, total, length, ones_a, ones_b, max_distance)
     if decode is not None:
         # a self block stops at shift period//2; shift n > period//2 is
         # the mirror of period - n
         spread = range(0, len(block), -(-len(block) // _SPOT_SHIFTS))
         _spot_check(
-            lambda n: decode[block[n if n < len(block) else period - n]],
+            lambda n: decode(block[n if n < len(block) else period - n]),
             operands,
             {1 % period, period - 1, len(block) - 1, *spread},
         )
@@ -202,21 +205,21 @@ def _build(
 
 def _counts(
     block: Sequence[int],
-    decode: Mapping[int, int] | None,
+    decode: Callable[[int], int] | None,
     mode: str,
     length: int,
     period: int,
     n_shifts: int,
-) -> tuple[Counter, int | None]:
-    """Distance -> number among observations 0..n_shifts-1, and the sum
-    of the full ensemble's distances if ``block`` is the whole distinct
-    block, else None.
+) -> tuple[Counter, int | None, set[int]]:
+    """Distance -> number among observations 0..n_shifts-1, the sum of
+    the full ensemble's distances if ``block`` is the whole distinct
+    block, else None, and every distinct distance in ``block``.
 
     Block entry j stands for ``weight(j, n)`` of observations 0..n-1; the
     weights for n_shifts and for the full ensemble are constant between
-    consecutive ``cuts``, so each piece is counted once and each distinct
-    cell code decoded once.  An entry of the product's whole block that
-    no observation shares weighs 0 for n_shifts.
+    consecutive ``cuts``, so each piece is counted once and each of its
+    distinct correlations decoded once.  An entry of the product's whole
+    block that no observation shares weighs 0 for n_shifts.
     """
     if mode == SELF_MODE:
         # entry j is shift j, and shift length - j as well unless that is j
@@ -233,15 +236,21 @@ def _counts(
         cuts = {n_shifts % period}
         whole = len(block) == period
     bounds = sorted({0, len(block)} | {c for c in cuts if 0 < c < len(block)})
-    counts, total = Counter(), 0
+    counts, total, distances = Counter(), 0, set()
     for start, stop in zip(bounds, bounds[1:]):
         observed, every = weight(start, n_shifts), weight(start, length)
         for key, count in Counter(block[start:stop]).items():
-            d = key if decode is None else decode[key]
+            d = key if decode is None else decode(key)
             if observed:
                 counts[d] += observed * count
             total += every * count * d
-    return counts, total if whole else None
+            distances.add(d)
+    return counts, total if whole else None, distances
+
+
+def _distance(total_ones: int, c: int) -> int:
+    """The distance at a shift whose correlation is ``c``."""
+    return total_ones - 2 * c
 
 
 def _use_product(work: int, slots: int, width: int) -> bool:
@@ -252,8 +261,9 @@ def _use_product(work: int, slots: int, width: int) -> bool:
     the count planes of both strings, the same number ``_cpus`` splits
     the loop by.  The product costs O(D log D) in its D = width*slots
     digits.  The crossover is therefore a fixed number of shifted bits
-    per digit, slot and bit of ``slots``.  The decode reads at most 8
-    digits per slot.
+    per digit, slot and bit of ``slots``, measured on the ``decimal``
+    product.  Slots of more than 8 digits were never measured, and stay
+    on the loop.
     """
     return (
         width <= 8
@@ -612,57 +622,71 @@ def _folded(planes: list[int], period: int, width: int, reverse: bool) -> Decima
     return folded
 
 
-class _DistanceTable(dict):
-    """Cell code -> distance, each distinct code parsed once on first sight."""
-
-    def __init__(self, total_ones: int, cell: int):
-        super().__init__()
-        self.total_ones = total_ones
-        self.cell = cell
-
-    def __missing__(self, code: int) -> int:
-        digits = code.to_bytes(self.cell, sys.byteorder)
-        d = self[code] = self.total_ones - 2 * int(digits)
-        return d
+@cache
+def _load_gmp() -> Callable[..., memoryview] | None:
+    """``_gmp.correlations`` bound to the system libgmp, or None where
+    ``ctypes`` or libgmp cannot be loaded."""
+    try:
+        from ._gmp import load
+    except ImportError:
+        return None
+    return load()
 
 
-def _product_codes(
-    a_slots: Decimal,
-    b_slots: Decimal,
-    period: int,
-    count: int,
-    width: int,
+def _correlations(
+    planes_a: list[int], planes_b: list[int], period: int, count: int, bound: int
 ) -> memoryview:
-    """Codes of the correlations C(0..count-1) from one exact product of
-    two ``period``-slot operands (Kronecker substitution): cell n holds
-    the decimal digits of C(n), right-aligned in 4 or 8 bytes, and
-    ``_DistanceTable`` turns a code into its distance.
-
-    With x = 10**width, ``a_slots`` = sum_r A(r) x**r holds the set-bit
-    counts A(r) of ``a`` per residue r modulo ``period``, reversed, and
-    ``b_slots`` = sum_s B(s) x**(period-1-s) those of ``b`` in reading
-    order: ``_folded`` builds both from the count planes the shift loop
-    takes.  Term A(r)*B(s) lands in slot period-1+r-s, and folding slots
-    period..2*period-1 onto 0..period-1 (x**period = 1 modulo x**period -
-    1) leaves C(n) = sum_r A(r)*B((r+n) mod period) in slot period-1-n:
-    the n-th slot of the folded digit string, read from the left.  That is the correlation of the
-    extensions, which depends on the shift only modulo ``period``.  No
-    slot exceeds the smaller set-bit count, which the caller sized
-    ``width`` to, so nothing carries between slots.
+    """The correlations C(0..count-1) of the strings whose count planes
+    are ``planes_a`` and ``planes_b``, as 4- or 8-byte cells, from one
+    exact product; no correlation exceeds ``bound``.  GMP multiplies
+    where it loads, ``decimal`` elsewhere, and both give the same cells.
     """
+    engine = _load_gmp() or _decimal_correlations
+    return engine(planes_a, planes_b, period, count, bound)
+
+
+def _decimal_correlations(
+    planes_a: list[int], planes_b: list[int], period: int, count: int, bound: int
+) -> memoryview:
+    """``_correlations`` from one exact ``decimal`` product of two
+    ``period``-slot operands (Kronecker substitution).
+
+    With ``width`` the digits of ``bound`` and x = 10**width, ``a_slots``
+    = sum_r A(r) x**r holds the set-bit counts A(r) of ``a`` per residue
+    r modulo ``period``, reversed, and ``b_slots`` = sum_s B(s)
+    x**(period-1-s) those of ``b`` in reading order: ``_folded`` builds
+    both from the count planes the shift loop takes.  Term A(r)*B(s)
+    lands in slot period-1+r-s, and folding slots period..2*period-1 onto
+    0..period-1 (x**period = 1 modulo x**period - 1) leaves C(n) = sum_r
+    A(r)*B((r+n) mod period) in slot period-1-n: the n-th slot of the
+    folded digit string, read from the left.  That is the correlation of
+    the extensions, which depends on the shift only modulo ``period``.
+    No slot exceeds ``bound``, so nothing carries between slots.  The
+    digit columns of the text are then combined in every cell at once.
+    """
+    width = len(str(bound))
     digits = width * period
-    prod = _EXACT.multiply(a_slots, b_slots)
+    prod = _EXACT.multiply(
+        _folded(planes_a, period, width, reverse=True),
+        _folded(planes_b, period, width, reverse=False),
+    )
     high = _EXACT.shift(prod, -digits)
     folded = _EXACT.add(high, _EXACT.subtract(prod, _EXACT.shift(high, digits)))
-    text = str(folded).zfill(digits)[: width * count].encode()
-    # memoryview casts 4- or 8-byte cells; widen other slots into them
-    cell = 4 if width <= 4 else 8
-    if width != cell:
-        cells = bytearray(b"0") * (cell * count)
-        for j in range(width):
-            cells[cell - width + j :: cell] = text[j::width]
-        text = cells
-    return memoryview(text).cast("I" if cell == 4 else "Q")
+    # freed before the text and the cells are made: alive, they raised the
+    # peak memory of a 1 MB build from 257 to 322 MiB
+    del prod, high
+    text = str(folded).zfill(digits)[: width * count].encode().translate(_DIGITS)
+    del folded
+    size = 4 if bound < 2**32 else 8
+    # byte of each cell that holds the value of one digit
+    low = 0 if sys.byteorder == "little" else size - 1
+    cells = 0
+    for j in range(width):
+        column = bytearray(size * count)
+        column[low::size] = text[j::width]
+        cells = 10 * cells + int.from_bytes(column, sys.byteorder)
+    data = cells.to_bytes(size * count, sys.byteorder)
+    return memoryview(data).cast("I" if size == 4 else "Q")
 
 
 def _check_exact(

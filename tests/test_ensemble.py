@@ -2,6 +2,7 @@ import contextlib
 import os
 import random
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ from array import array
 from collections import Counter
 from math import gcd, lcm
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -350,6 +352,25 @@ def forced(kernel):
         yield
 
 
+# the product's engines: the system GMP where it loads, and decimal
+ENGINES = ("gmp", "decimal") if ensemble._load_gmp() else ("decimal",)
+
+
+@contextlib.contextmanager
+def engine(name):
+    """Multiply with ``name``: GMP, or decimal with the loader finding no GMP."""
+    if name == "gmp":
+        yield
+    else:
+        with mock.patch.object(ensemble, "_load_gmp", return_value=None):
+            yield
+
+
+def spy_product():
+    """A spy on the product's shared seam, which both engines sit behind."""
+    return mock.patch.object(ensemble, "_correlations", wraps=ensemble._correlations)
+
+
 def full_sum(length, ones_a, ones_b):
     return length * (ones_a + ones_b) - 2 * ones_a * ones_b
 
@@ -519,23 +540,22 @@ class TestKernelEquivalence:
             # charged shifts x L, the loop would lose to the product already
             # at the switch
             assert switch * length > cost
-        runs = {}
-        for n in (switch - 1, switch, switch + 1):
-            with mock.patch.object(
-                ensemble, "_product_codes", wraps=ensemble._product_codes
-            ) as product:
-                if mode == "self":
-                    runs[n] = build_self_ensemble(a, n).values
-                else:
-                    runs[n] = build_pair_ensemble(a, b, n).values
-            assert product.called == (n > switch)
-        # the loop runs below and at the switch, the product above it
-        assert runs[switch + 1][:switch] == runs[switch]
-        assert runs[switch][: switch - 1] == runs[switch - 1]
-        shifts = [0, switch] + [n % (switch + 1) for n in shifts]
-        assert [runs[switch + 1][n] for n in shifts] == naive_distances(
-            a.to_bits(), b.to_bits(), shifts
-        )
+        for name in ENGINES:
+            runs = {}
+            for n in (switch - 1, switch, switch + 1):
+                with engine(name), spy_product() as product:
+                    if mode == "self":
+                        runs[n] = build_self_ensemble(a, n).values
+                    else:
+                        runs[n] = build_pair_ensemble(a, b, n).values
+                assert product.called == (n > switch)
+            # the loop runs below and at the switch, the product above it
+            assert runs[switch + 1][:switch] == runs[switch]
+            assert runs[switch][: switch - 1] == runs[switch - 1]
+            picked = [0, switch] + [n % (switch + 1) for n in shifts]
+            assert [runs[switch + 1][n] for n in picked] == naive_distances(
+                a.to_bits(), b.to_bits(), picked
+            )
 
     @pytest.mark.parametrize("swap", [False, True], ids=["a-zero", "b-zero"])
     def test_zero_string_pair_takes_the_product(self, swap):
@@ -546,12 +566,11 @@ class TestKernelEquivalence:
         other = random_bitstring(3072, 0.5, seed=7)
         a, b = (other, zero) if swap else (zero, other)
         assert ensemble._planes(zero, 1024) == [0]
-        with mock.patch.object(
-            ensemble, "_product_codes", wraps=ensemble._product_codes
-        ) as product:
-            e = build_pair_ensemble(a, b)
-        assert product.called
-        assert e.entries == ((other.ones * 2, 6144),)
+        for name in ENGINES:
+            with engine(name), spy_product() as product:
+                e = build_pair_ensemble(a, b)
+            assert product.called
+            assert e.entries == ((other.ones * 2, 6144),)
 
     @pytest.mark.parametrize("zeros", [0, 3])
     @pytest.mark.parametrize("ones", [9, 10, 99, 100, 9999, 10000, 99999, 100000])
@@ -606,8 +625,9 @@ class TestKernelEquivalence:
     )
     def test_every_wider_slot_decodes_alike(self, a, b):
         # slots wider than the bound only add leading zeros; this drives
-        # the 8-digit cells that a natural width reaches only past 10**7
-        # set bits, and every widening from 5-7 digits
+        # the 8-digit slots that a natural width reaches only past 10**7
+        # set bits, every widening from 5-7 digits, and GMP's 8-byte cells
+        # from a bound of 2**32 on
         length = lcm(len(a), len(b))
         period = gcd(len(a), len(b))
         ones_a = a.count("1") * (length // len(a))
@@ -615,16 +635,16 @@ class TestKernelEquivalence:
         want = naive_distances(a, b, range(period))
         planes_a = ensemble._planes(from_bits(a), period)
         planes_b = ensemble._planes(from_bits(b), period)
-        for width in range(slot_width(ones_a, ones_b), 9):
-            codes = ensemble._product_codes(
-                ensemble._folded(planes_a, period, width, reverse=True),
-                ensemble._folded(planes_b, period, width, reverse=False),
-                period,
-                period,
-                width,
-            )
-            decode = ensemble._DistanceTable(ones_a + ones_b, codes.itemsize)
-            assert [decode[code] for code in codes] == want, width
+        natural = min(ones_a, ones_b)
+        wider = [max(natural, 10 ** (width - 1)) for width in range(1, 9)]
+        for bound in wider + [2**32 - 1, 2**32, 2**40]:
+            for name in ENGINES:
+                with engine(name):
+                    cells = ensemble._correlations(
+                        planes_a, planes_b, period, period, bound
+                    )
+                decode = [ones_a + ones_b - 2 * c for c in cells]
+                assert decode == want, (name, bound)
 
     def test_slot_capacity(self):
         assert ensemble._use_product(10**9 * 2**20, 2**20, 8)
@@ -721,16 +741,17 @@ class TestDistinctBlock:
         else:
             a, b = random_bitstring(2048, 0.5, 4), random_bitstring(3072, 0.5, 5)
             build, args, period, distinct = build_pair_ensemble, (a, b), 1024, 1024
-        with forced("product"), mock.patch.object(
-            ensemble, "_product_codes", wraps=ensemble._product_codes
-        ) as product:
-            vals = build(*args).values
-        a_slots, b_slots, slots, count, width = product.call_args.args
-        assert (slots, count) == (period, distinct)
-        for operand in (a_slots, b_slots):
-            assert 0 < operand < 10 ** (width * period)
         with forced("loop"):
-            assert vals == build(*args).values
+            want = build(*args).values
+        for name in ENGINES:
+            with forced("product"), engine(name), spy_product() as product:
+                vals = build(*args).values
+            planes_a, planes_b, slots, count, bound = product.call_args.args
+            assert (slots, count) == (period, distinct)
+            assert 0 < bound < 10**5
+            for planes in (planes_a, planes_b):
+                assert all(0 < plane < 2**period for plane in planes)
+            assert vals == want
 
     @pytest.mark.parametrize(
         "mode, n",
@@ -818,14 +839,17 @@ def sample_shifts(length, seed):
 
 
 def product_run(build):
-    """Run ``build`` on the product kernel: its values and the slot width
-    the product was called with."""
-    with forced("product"), mock.patch.object(
-        ensemble, "_product_codes", wraps=ensemble._product_codes
-    ) as product:
-        e = build()
-    *_, width = product.call_args.args
-    return e.values, width
+    """Run ``build`` on the product kernel with each engine: its values,
+    the same with both, and the decimal slot width of the bound the
+    product was called with."""
+    runs = []
+    for name in ENGINES:
+        with forced("product"), engine(name), spy_product() as product:
+            e = build()
+        bound = product.call_args.args[-1]
+        runs.append((e.values, slot_width(bound, bound)))
+    assert runs.count(runs[0]) == len(runs)
+    return runs[0]
 
 
 def _corrupt(kind):
@@ -845,35 +869,41 @@ def _corrupt(kind):
     return corrupt
 
 
-def corrupt_decode(monkeypatch, kind):
-    """Corrupt the distance that the first cell code the product decodes
-    (that of shift 0) stands for, in every observation it counts."""
-    decode = ensemble._DistanceTable.__missing__
+def corrupt_decode(monkeypatch, kind, corrupts=None):
+    """Corrupt the distance that the product's correlations decode to:
+    that of shift 0, in every observation it counts, or each distance
+    for which ``corrupts(d)`` holds."""
+    product, distance = ensemble._correlations, ensemble._distance
+    first = []
 
-    def corrupted(table, code):
-        d = decode(table, code)
-        if len(table) == 1:
-            d = table[code] = {"sum": d + 2, "parity": d + 1, "range": -2}[kind]
+    def correlations(*args):
+        cells = product(*args)
+        first.append(cells[0])
+        return cells
+
+    def corrupted(total_ones, c):
+        d = distance(total_ones, c)
+        if corrupts(d) if corrupts else c == first[-1]:
+            d = {"sum": d + 2, "parity": d + 1, "range": -2}[kind]
         return d
 
-    monkeypatch.setattr(ensemble._DistanceTable, "__missing__", corrupted)
+    monkeypatch.setattr(ensemble, "_correlations", correlations)
+    monkeypatch.setattr(ensemble, "_distance", corrupted)
 
 
 def corrupt_cells(monkeypatch, moves):
     """Move the distance of product cell j by ``moves[j]``, an even
-    number: the cell's digits, C(j), move by half of it the other way."""
-    product = ensemble._product_codes
+    number: the cell's correlation C(j) moves by half of it the other way."""
+    product = ensemble._correlations
 
     def corrupted(*args):
         block = product(*args)
         cells = array(block.format, block)
         for j, move in moves.items():
-            c = int(cells[j].to_bytes(block.itemsize, sys.byteorder)) - move // 2
-            digits = str(c).zfill(block.itemsize).encode()
-            cells[j] = int.from_bytes(digits, sys.byteorder)
+            cells[j] -= move // 2
         return memoryview(cells)
 
-    monkeypatch.setattr(ensemble, "_product_codes", corrupted)
+    monkeypatch.setattr(ensemble, "_correlations", corrupted)
 
 
 def corrupt_loop(monkeypatch, kind):
@@ -898,17 +928,20 @@ class TestExactnessCheck:
     def test_corrupted_decode_raises(self, kind, problem, monkeypatch):
         corrupt_decode(monkeypatch, kind)
         b = random_bitstring(8192, 0.5, 9)
-        with pytest.raises(ExactnessCheckFailed, match=problem):
-            build_self_ensemble(b, b.nbits)
+        for name in ENGINES:
+            with engine(name), pytest.raises(ExactnessCheckFailed, match=problem):
+                build_self_ensemble(b, b.nbits)
 
     def test_corrupted_decode_exits_two(self, monkeypatch, tmp_path, capsys):
         corrupt_decode(monkeypatch, "sum")
         path = tmp_path / "r.bin"
         path.write_bytes(random.Random(1).randbytes(1024))
-        assert main(["analyze", str(path), "--format", "json"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "exactness check" in captured.err
+        for name in ENGINES:
+            with engine(name):
+                assert main(["analyze", str(path), "--format", "json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "exactness check" in captured.err
 
     # a pair of 8192 x 12288 bits has g = 4096: the product decodes the
     # codes of one period, whose counts, L/g each, are checked against
@@ -917,8 +950,9 @@ class TestExactnessCheck:
     def test_corrupted_pair_block_raises(self, kind, problem, monkeypatch):
         corrupt_decode(monkeypatch, kind)
         a, b = random_bitstring(8192, 0.5, 9), random_bitstring(12288, 0.5, 10)
-        with pytest.raises(ExactnessCheckFailed, match=problem):
-            build_pair_ensemble(a, b)
+        for name in ENGINES:
+            with engine(name), pytest.raises(ExactnessCheckFailed, match=problem):
+                build_pair_ensemble(a, b)
 
     def test_corrupted_pair_block_exits_two(self, monkeypatch, tmp_path, capsys):
         corrupt_decode(monkeypatch, "sum")
@@ -927,10 +961,13 @@ class TestExactnessCheck:
         for path, size in zip(paths, (1024, 1536)):
             path.write_bytes(rng.randbytes(size))
         argv = ["analyze", str(paths[0]), "--pair", str(paths[1]), "--format", "json"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "exactness check" in captured.err and "sum of distances" in captured.err
+        for name in ENGINES:
+            with engine(name):
+                assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "exactness check" in captured.err
+            assert "sum of distances" in captured.err
 
     @pytest.mark.parametrize(
         "kind, problem, n",
@@ -975,15 +1012,21 @@ class TestExactnessCheck:
     def test_corrupted_partial_decode_raises(self, kind, problem, n, monkeypatch):
         corrupt_decode(monkeypatch, kind)
         b = random_bitstring(8192, 0.5, 9)
-        with forced("product"), pytest.raises(ExactnessCheckFailed, match=problem):
-            build_self_ensemble(b, n)
+        for name in ENGINES:
+            with forced("product"), engine(name), pytest.raises(
+                ExactnessCheckFailed, match=problem
+            ):
+                build_self_ensemble(b, n)
 
     @EXACTNESS_PROBLEMS
     def test_corrupted_partial_pair_block_raises(self, kind, problem, monkeypatch):
         corrupt_decode(monkeypatch, kind)
         a, b = random_bitstring(8192, 0.5, 9), random_bitstring(12288, 0.5, 10)
-        with forced("product"), pytest.raises(ExactnessCheckFailed, match=problem):
-            build_pair_ensemble(a, b, 4096 + 1)
+        for name in ENGINES:
+            with forced("product"), engine(name), pytest.raises(
+                ExactnessCheckFailed, match=problem
+            ):
+                build_pair_ensemble(a, b, 4096 + 1)
 
     @pytest.mark.parametrize(
         "kind, problem", [("parity", "parity"), ("range", "outside")]
@@ -994,19 +1037,14 @@ class TestExactnessCheck:
         b = random_bitstring(8192, 0.5, 9)
         with forced("product"):
             e = build_self_ensemble(b, 50)
-        unobserved = set(map(e.decode.__getitem__, e.block)) - set(e.values)
+        unobserved = set(map(e.decode, e.block)) - set(e.values)
         assert unobserved
-        decode = ensemble._DistanceTable.__missing__
-
-        def corrupted(table, code):
-            d = decode(table, code)
-            if d in unobserved:
-                d = table[code] = {"parity": d + 1, "range": -2}[kind]
-            return d
-
-        monkeypatch.setattr(ensemble._DistanceTable, "__missing__", corrupted)
-        with forced("product"), pytest.raises(ExactnessCheckFailed, match=problem):
-            build_self_ensemble(b, 50)
+        corrupt_decode(monkeypatch, kind, corrupts=unobserved.__contains__)
+        for name in ENGINES:
+            with forced("product"), engine(name), pytest.raises(
+                ExactnessCheckFailed, match=problem
+            ):
+                build_self_ensemble(b, 50)
 
     # 4 KB random strings have 5-digit slots; the product weighs its whole
     # block, the loop counts only the shifts it computed
@@ -1014,23 +1052,25 @@ class TestExactnessCheck:
     def test_partial_product_entries_match_the_loop(self, n):
         b = random_bitstring(32768, 0.5, 11)
         assert slot_width(b.ones, b.ones) == 5
-        with forced("product"):
-            product = build_self_ensemble(b, n)
         with forced("loop"):
             loop = build_self_ensemble(b, n)
-        assert product.decode is not None and loop.decode is None
-        assert product.entries == loop.entries
-        assert sum(count for _, count in product.entries) == n
+        for name in ENGINES:
+            with forced("product"), engine(name):
+                product = build_self_ensemble(b, n)
+            assert product.decode is not None and loop.decode is None
+            assert product.entries == loop.entries
+            assert sum(count for _, count in product.entries) == n
 
     def test_partial_product_pair_entries_match_the_loop(self):
         # 4 KB x 6 KB: g = 16384 bits, L = 98304
         a, b = random_bitstring(32768, 0.5, 12), random_bitstring(49152, 0.5, 13)
-        with forced("product"):
-            product = build_pair_ensemble(a, b, 16384 + 1)
         with forced("loop"):
             loop = build_pair_ensemble(a, b, 16384 + 1)
-        assert product.decode is not None and loop.decode is None
-        assert product.entries == loop.entries
+        for name in ENGINES:
+            with forced("product"), engine(name):
+                product = build_pair_ensemble(a, b, 16384 + 1)
+            assert product.decode is not None and loop.decode is None
+            assert product.entries == loop.entries
 
     # cells 1 and 2 stand for the same number of observations (shifts 1,
     # 2 and their mirrors; or L/g each in the pair), so +2 and -2 on them
@@ -1045,14 +1085,17 @@ class TestExactnessCheck:
         with forced("loop"):
             want = build(*args).values
         corrupt_cells(monkeypatch, {1: 2, 2: -2})
-        with forced("product"), mock.patch.object(ensemble, "_spot_check"):
-            moved = build(*args).values
-        assert (moved[1], moved[2]) == (want[1] + 2, want[2] - 2)
-        with forced("product"), pytest.raises(
-            ExactnessCheckFailed,
-            match=rf"shift 1 is {want[1] + 2}, but the shift loop gives {want[1]}$",
-        ):
-            build(*args)
+        for name in ENGINES:
+            with forced("product"), engine(name):
+                with mock.patch.object(ensemble, "_spot_check"):
+                    moved = build(*args).values
+                assert (moved[1], moved[2]) == (want[1] + 2, want[2] - 2)
+                with pytest.raises(
+                    ExactnessCheckFailed,
+                    match=rf"shift 1 is {want[1] + 2}, "
+                    rf"but the shift loop gives {want[1]}$",
+                ):
+                    build(*args)
 
     @pytest.mark.parametrize("mode", ["self", "pair"])
     def test_product_spot_check_shifts(self, mode):
@@ -1080,6 +1123,192 @@ class TestExactnessCheck:
         with forced("loop"):
             vals = build_self_ensemble(b, 50).values
         assert vals[2] == shift_xor_distance(b, 2) + 2
+
+
+# set-bit counts at the edges of binary slot widths: 2**k - 1 fills k-bit
+# slots, 2**k and 2**k + 1 need k + 1 bits
+BINARY_EDGES = [2**k + step for k in (1, 3, 8, 16) for step in (-1, 0, 1)]
+
+ENGINE_BUILDS = [
+    lambda: build_self_ensemble(random_bitstring(4096, 0.5, 21)),
+    lambda: build_self_ensemble(random_bitstring(4096, 0.5, 21), 3000),
+    lambda: build_pair_ensemble(
+        random_bitstring(2048, 0.5, 22), random_bitstring(3072, 0.5, 23)
+    ),
+    # g = 512: 4 and 3 chunks, so two count planes each
+    lambda: build_pair_ensemble(
+        random_bitstring(2048, 0.7, 24), random_bitstring(1536, 0.6, 25)
+    ),
+    lambda: build_pair_ensemble(from_bits("0" * 2048), random_bitstring(3072, 0.5, 7)),
+]
+
+
+def built(builds):
+    return [(e.entries, e.values) for e in (build() for build in builds)]
+
+
+class TestEngines:
+    @pytest.mark.parametrize("zeros", [0, 3])
+    @pytest.mark.parametrize("ones", BINARY_EDGES)
+    def test_binary_slot_edges_self(self, ones, zeros):
+        # dense strings fill the slots: every correlation is within
+        # `zeros` of `ones`, the largest value a slot must hold
+        bits = with_ones(ones + zeros, ones, seed=ones)
+        vals, _ = product_run(lambda: build_self_ensemble(from_bits(bits), len(bits)))
+        shifts = [n % len(bits) for n in sample_shifts(len(bits), seed=ones)]
+        assert [vals[n] for n in shifts] == naive_distances(bits, bits, shifts)
+        assert sum(vals) == full_sum(len(bits), ones, ones)
+        if zeros == 0:
+            assert vals == (0,) * len(bits)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["a-min", "b-min"])
+    @pytest.mark.parametrize("ones", BINARY_EDGES)
+    def test_binary_slot_edges_pair(self, ones, swap):
+        # as test_width_boundary_pair: the bound is `ones`, a's set bits
+        a = with_ones(2 * (ones // 2) + 4, ones, seed=ones)
+        b = with_ones(len(a) // 2, ones // 2 + 1, seed=ones + 1)
+        if swap:
+            a, b = b, a
+        length = lcm(len(a), len(b))
+        vals, _ = product_run(
+            lambda: build_pair_ensemble(from_bits(a), from_bits(b), length)
+        )
+        ones_a = a.count("1") * (length // len(a))
+        ones_b = b.count("1") * (length // len(b))
+        assert min(ones_a, ones_b) == ones
+        shifts = sample_shifts(length, seed=ones)
+        assert [vals[n] for n in shifts] == naive_distances(a, b, shifts)
+        assert sum(vals) == full_sum(length, ones_a, ones_b)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["dense-a", "dense-b"])
+    @pytest.mark.parametrize("partner", ["one-bit", "zeros"])
+    @pytest.mark.parametrize("chunks", [3, 7, 8, 9, 15, 16, 17])
+    def test_multi_plane_counts(self, chunks, partner, swap):
+        # the dense string has `chunks` set bits at each of its g = 5
+        # residues, in chunks.bit_length() count planes.  Beside one set
+        # bit the bound is `chunks` itself, and a correlation fills its
+        # slot; beside a zero string the slots are 1 bit wide, and every
+        # count overflows its slot
+        dense = "1" * (5 * chunks)
+        other = "0" * (5 * (chunks + 1))
+        if partner == "one-bit":
+            other = "1" + other[1:]
+        a, b = (other, dense) if swap else (dense, other)
+        assert len(ensemble._planes(from_bits(dense), 5)) == chunks.bit_length()
+        length = lcm(len(a), len(b))
+        vals, width = product_run(
+            lambda: build_pair_ensemble(from_bits(a), from_bits(b), length)
+        )
+        bound = chunks if partner == "one-bit" else 0
+        assert width == slot_width(bound, bound)
+        shifts = sample_shifts(length, seed=chunks)
+        assert [vals[n] for n in shifts] == naive_distances(a, b, shifts)
+        ones_a = a.count("1") * (length // len(a))
+        ones_b = b.count("1") * (length // len(b))
+        assert sum(vals) == full_sum(length, ones_a, ones_b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            chunked_pair(),
+            st.integers(1, 80).flatmap(bit_strings).map(lambda bits: (bits, bits)),
+        )
+    )
+    def test_engines_agree_with_the_loop(self, pair):
+        a_bits, b_bits = pair
+        a = from_bits(a_bits)
+        b = a if a_bits is b_bits else from_bits(b_bits)
+        length, period = lcm(a.nbits, b.nbits), gcd(a.nbits, b.nbits)
+        ones_a = a.ones * (length // a.nbits)
+        ones_b = b.ones * (length // b.nbits)
+        planes_a = ensemble._planes(a, period)
+        planes_b = planes_a if b is a else ensemble._planes(b, period)
+        loop = ensemble._shift_distances(
+            planes_a, planes_b, period, ones_a + ones_b, 0, period
+        )
+        for name in ENGINES:
+            with engine(name):
+                cells = ensemble._correlations(
+                    planes_a, planes_b, period, period, min(ones_a, ones_b)
+                )
+            assert [ones_a + ones_b - 2 * c for c in cells] == loop, name
+
+    @pytest.mark.parametrize("failure", ["ImportError", "OSError", "missing symbol"])
+    def test_fallback_when_gmp_does_not_load(self, failure, monkeypatch):
+        import ctypes
+
+        with forced("product"):
+            want = built(ENGINE_BUILDS)
+        if failure == "ImportError":
+            monkeypatch.delitem(sys.modules, "strtherm._gmp", raising=False)
+            monkeypatch.setitem(sys.modules, "ctypes", None)
+        elif failure == "OSError":
+
+            def cannot_open(name):
+                raise OSError(f"{name}: cannot open shared object file")
+
+            monkeypatch.setattr(ctypes, "CDLL", cannot_open)
+        else:
+            monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+        load = ensemble._load_gmp.__wrapped__
+        assert load() is None
+        with forced("product"), mock.patch.object(
+            ensemble, "_load_gmp", load
+        ), mock.patch.object(
+            ensemble, "_decimal_correlations", wraps=ensemble._decimal_correlations
+        ) as fallback:
+            assert built(ENGINE_BUILDS) == want
+        assert fallback.call_count == len(ENGINE_BUILDS)
+
+    def test_gmp_is_loaded_only_for_a_product(self):
+        script = (
+            "import sys\n"
+            "import strtherm.cli\n"
+            "assert 'ctypes' not in sys.modules\n"
+            "from strtherm import ensemble, random_bitstring\n"
+            "ensemble.build_self_ensemble(random_bitstring(4096, 0.5, 1), 100)\n"
+            "assert 'ctypes' not in sys.modules\n"
+            "ensemble.build_self_ensemble(random_bitstring(16384, 0.5, 1))\n"
+            "assert ('ctypes' in sys.modules) == (ensemble._load_gmp() is not None)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ensemble.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+    @pytest.mark.parametrize(
+        "kind, problem", [("sum", "sum of distances"), ("range", "outside")]
+    )
+    def test_corrupted_gmp_cell_is_caught(
+        self, kind, problem, monkeypatch, tmp_path, capsys
+    ):
+        gmp = ensemble._load_gmp()
+        if gmp is None:
+            pytest.skip("libgmp is not installed")
+
+        def corrupted(*args):
+            block = gmp(*args)
+            cells = array(block.format, block)
+            cells[1] = cells[1] - 1 if kind == "sum" else 2**32 - 1
+            return memoryview(cells)
+
+        monkeypatch.setattr(ensemble, "_load_gmp", lambda: corrupted)
+        with pytest.raises(ExactnessCheckFailed, match=problem):
+            build_self_ensemble(random_bitstring(8192, 0.5, 9))
+        path = tmp_path / "r.bin"
+        path.write_bytes(random.Random(1).randbytes(1024))
+        assert main(["analyze", str(path), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exactness check" in captured.err and problem in captured.err
+
+    def test_gmp_refuses_a_product_wider_than_its_cells(self):
+        # a bound below the true one: three set bits per residue in 1-bit
+        # slots carry past the top slot, and nothing may be exported
+        # beyond the period's cells
+        gmp = ensemble._load_gmp()
+        if gmp is None:
+            pytest.skip("libgmp is not installed")
+        with pytest.raises(ExactnessCheckFailed, match="needs 12 slots, more than 8"):
+            gmp([255, 255], [255, 255], 8, 8, 1)
 
 
 def in_children(corrupt):
