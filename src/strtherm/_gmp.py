@@ -69,7 +69,7 @@ def load() -> Callable[..., memoryview] | None:
                 function.restype, function.argtypes = restype, argtypes
                 setattr(gmp, short, function)
         except AttributeError:
-            return None
+            continue
         return partial(correlations, gmp)
     return None
 

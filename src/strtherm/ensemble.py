@@ -62,7 +62,7 @@ _LANE_BITS = 1 << 20
 # its distinct block, at the block's last shift and at shifts 1 and g - 1
 _SPOT_SHIFTS = 8
 
-# bytes of a failed worker's error text kept after the shared distances
+# bytes of a failed worker's error text kept after the shared correlations
 _NOTE_BYTES = 256
 
 # (shift, mask within one 8-byte word) of the three delta swaps that
@@ -95,22 +95,17 @@ class Histogram:
 @dataclass(frozen=True)
 class Ensemble(Histogram):
     """The histogram of a shift-XOR ensemble, with the distinct
-    observations it was counted from: ``block`` holds them, as distances
-    or as correlations that ``decode`` maps to distances; ``values``
-    orders them."""
+    observations it was counted from: ``block`` holds their correlations
+    C(n), which ``total_ones`` decodes to distances; ``values`` orders
+    them."""
 
     block: Sequence[int] = field(kw_only=True, repr=False, compare=False)
-    decode: Callable[[int], int] | None = field(
-        kw_only=True, repr=False, compare=False
-    )
+    total_ones: int = field(kw_only=True, repr=False, compare=False)
 
     @cached_property
     def values(self) -> tuple[int, ...]:
         """Observations 0..n_obs-1 in shift order, built on first use."""
-        if self.decode is None:
-            cycle = tuple(self.block)
-        else:
-            cycle = tuple(map(self.decode, self.block))
+        cycle = tuple(map(partial(_distance, self.total_ones), self.block))
         if self.mode == SELF_MODE and len(cycle) == self.nbits // 2 + 1:
             # the shifts past nbits//2 mirror those below it
             cycle += cycle[(self.nbits + 1) // 2 - 1 : 0 : -1]
@@ -171,41 +166,46 @@ def _build(
     planes_a = _planes(a, period)
     planes_b = planes_a if b is a else _planes(b, period)
     work = shifts * period * len(planes_a) * len(planes_b)
-    operands = (planes_a, planes_b, period, total_ones)
+    operands = (planes_a, planes_b, period)
     if _use_product(work, period, len(str(bound))):
-        block = _correlations(planes_a, planes_b, period, distinct, bound)
-        decode = partial(_distance, total_ones)
-    else:
-        # observation 0 of a self ensemble is the self-match
-        first = 1 if mode == SELF_MODE else 0
-        if _use_lanes(shifts - first, period):
-            kernel = _lane_kernel(*operands, shifts - 1)
-        else:
-            kernel = partial(_shift_distances, *operands)
-        block = (0,) * first + _loop_distances(kernel, first, shifts, work)
-        decode = None
-    # the loop computes observed shifts only; the product's whole block,
-    # observed or not, is checked
-    counts, total, distances = _counts(block, decode, mode, length, period, n_shifts)
-    _check_exact(distances, total, length, ones_a, ones_b, max_distance)
-    if decode is not None:
+        block = _correlations(*operands, distinct, bound)
         # a self block stops at shift period//2; shift n > period//2 is
         # the mirror of period - n
         spread = range(0, len(block), -(-len(block) // _SPOT_SHIFTS))
         _spot_check(
-            lambda n: decode(block[n if n < len(block) else period - n]),
+            lambda n: block[n if n < len(block) else period - n],
             operands,
             {1 % period, period - 1, len(block) - 1, *spread},
         )
+    else:
+        # observation 0 of a self ensemble is the self-match, C(0) = ones
+        first = 1 if mode == SELF_MODE else 0
+        if _use_lanes(shifts - first, period):
+            kernel = _lane_kernel(*operands, shifts - 1)
+        else:
+            kernel = partial(_shift_correlations, *operands)
+        block = (a.ones,) * first + _loop_correlations(kernel, first, shifts, work)
+    # the loop computes observed shifts only; the product's whole block,
+    # observed or not, is checked
+    counts, total, distances = _counts(
+        block, total_ones, mode, length, period, n_shifts
+    )
+    _check_exact(distances, total, length, ones_a, ones_b, max_distance)
     entries = tuple(sorted(counts.items()))
     return Ensemble(
-        entries, n_shifts, length, max_distance, mode, block=block, decode=decode
+        entries,
+        n_shifts,
+        length,
+        max_distance,
+        mode,
+        block=block,
+        total_ones=total_ones,
     )
 
 
 def _counts(
     block: Sequence[int],
-    decode: Callable[[int], int] | None,
+    total_ones: int,
     mode: str,
     length: int,
     period: int,
@@ -213,7 +213,7 @@ def _counts(
 ) -> tuple[Counter, int | None, set[int]]:
     """Distance -> number among observations 0..n_shifts-1, the sum of
     the full ensemble's distances if ``block`` is the whole distinct
-    block, else None, and every distinct distance in ``block``.
+    block, else None, and every distance ``block`` decodes to.
 
     Block entry j stands for ``weight(j, n)`` of observations 0..n-1; the
     weights for n_shifts and for the full ensemble are constant between
@@ -240,7 +240,7 @@ def _counts(
     for start, stop in zip(bounds, bounds[1:]):
         observed, every = weight(start, n_shifts), weight(start, length)
         for key, count in Counter(block[start:stop]).items():
-            d = key if decode is None else decode(key)
+            d = _distance(total_ones, key)
             if observed:
                 counts[d] += observed * count
             total += every * count * d
@@ -272,7 +272,7 @@ def _use_product(work: int, slots: int, width: int) -> bool:
 
 
 def _use_lanes(shifts: int, period: int) -> bool:
-    """True when the lane kernel is cheaper than ``_shift_distances`` for
+    """True when the lane kernel is cheaper than ``_shift_correlations`` for
     a loop of ``shifts`` shifts over ``period`` bits.
 
     The lane kernel pays a transpose of 1.0-1.7 ns a bit up front, and
@@ -290,23 +290,25 @@ def _use_lanes(shifts: int, period: int) -> bool:
     return shifts >= _LANE_SHIFTS and period >= _LANE_BITS
 
 
-def _loop_distances(
-    distances: Callable[[int, int], list[int]],
+def _loop_correlations(
+    correlations: Callable[[int, int], list[int]],
     first: int,
     n_shifts: int,
     work: int,
 ) -> tuple[int, ...]:
-    """Distances d(first..n_shifts-1), from ``distances(start, stop)``
-    over one contiguous range per CPU that ``_cpus`` grants ``work``.
+    """Correlations C(first..n_shifts-1), from ``correlations(start,
+    stop)`` over one contiguous range per CPU that ``_cpus`` grants
+    ``work``.
 
     This process computes the first range, one forked child each of the
-    others, all from the operands ``distances`` holds, built once before
-    the fork; each writes its distances into its own int64 cells of one
-    shared map, which a result of the wrong length makes raise.  A child
-    exits with status 0 only after its write, by ``os._exit``, so it
-    never returns into the caller's stack or flushes inherited stdio
-    buffers; one that raises leaves the error's text in its note after
-    the cells.  Every child is reaped before this returns or raises.
+    others, all from the operands ``correlations`` holds, built once
+    before the fork; each writes its correlations into its own int64
+    cells of one shared map, which a result of the wrong length makes
+    raise.  A child exits with status 0 only after its write, by
+    ``os._exit``, so it never returns into the caller's stack or flushes
+    inherited stdio buffers; one that raises leaves the error's text in
+    its note after the cells.  Every child is reaped before this returns
+    or raises.
     """
     count = n_shifts - first
     if count == 0:
@@ -320,7 +322,7 @@ def _loop_distances(
     ):
 
         def fill(start: int, stop: int) -> None:
-            cells[start - first : stop - first] = array("q", distances(start, stop))
+            cells[start - first : stop - first] = array("q", correlations(start, stop))
 
         children = []
         try:
@@ -397,11 +399,11 @@ def _planes(b: BitString, period: int) -> list[int]:
     return planes or [0]
 
 
-def _shift_distances(
-    planes_a: list, planes_b: list, period: int, total_ones: int, start: int, stop: int
+def _shift_correlations(
+    planes_a: list, planes_b: list, period: int, start: int, stop: int
 ) -> list[int]:
-    """Distances ``total_ones - 2*C(n)`` for n in [start, stop): one shift,
-    one AND and one popcount over the period per pair of planes.
+    """Correlations C(n) for n in [start, stop): one shift, one AND and
+    one popcount over the period per pair of planes.
 
     C(n), the number of positions where shift n lines up two set bits, is
     2**(i+j) * popcount(P_i & rot(Q_j, n)) summed over the planes P_i of a
@@ -425,38 +427,38 @@ def _shift_distances(
             high, wrapped = q << n, q >> (period - n)
             for i, p in enumerate(planes_a):
                 c += ((p & high).bit_count() + (p & wrapped).bit_count()) << (i + j)
-        vals.append(total_ones - 2 * c)
+        vals.append(c)
     return vals
 
 
 def _spot_check(
-    distance: Callable[[int], int], operands: tuple, shifts: Iterable[int]
+    correlation: Callable[[int], int], operands: tuple, shifts: Iterable[int]
 ) -> None:
-    """Raise unless ``distance(n)`` is the distance that ``_shift_distances``
-    computes on ``operands`` (both strings' count planes, the period and
-    ``total_ones``) for each n in ``shifts``.
+    """Raise unless ``correlation(n)`` is the correlation that
+    ``_shift_correlations`` computes on ``operands`` (both strings' count
+    planes and the period) for each n in ``shifts``.
 
     The shift loop shares no code with the product's fold, multiply and
-    decode, nor with the lane kernel's transpose and adders, so it is an
-    independent oracle; it costs one pass over the period per plane pair
-    and shift.  It catches what the range, parity and sum checks let
-    through, such as two distances moved by +2 and -2.
+    cell export, nor with the lane kernel's transpose and adders, so it
+    is an independent oracle; it costs one pass over the period per plane
+    pair and shift.  It catches what the range, parity and sum checks let
+    through, such as two correlations moved by +1 and -1.
     """
     for n in sorted(shifts):
-        expected = _shift_distances(*operands, n, n + 1)[0]
-        if distance(n) != expected:
+        expected = _shift_correlations(*operands, n, n + 1)[0]
+        if correlation(n) != expected:
             raise ExactnessCheckFailed(
-                f"distance at shift {n} is {distance(n)}, "
+                f"correlation at shift {n} is {correlation(n)}, "
                 f"but the shift loop gives {expected}"
             )
 
 
 def _lane_kernel(
-    planes_a: list, planes_b: list, period: int, total_ones: int, last: int
+    planes_a: list, planes_b: list, period: int, last: int
 ) -> Callable[[int, int], list[int]]:
-    """The lane kernel for shifts 0..``last``: ``distances(start, stop)``,
-    which ``_loop_distances`` calls once per range, and which checks the
-    first and last shift of its range with ``_spot_check``.
+    """The lane kernel for shifts 0..``last``: ``correlations(start,
+    stop)``, which ``_loop_correlations`` calls once per range, and which
+    checks the first and last shift of its range with ``_spot_check``.
 
     Every plane is cut into 64 lanes (``_lanes``), once, before any range
     runs.  b's planes are first extended linearly by ``reach``, ``last``
@@ -479,14 +481,14 @@ def _lane_kernel(
         ]
     else:
         a_lanes = [_lanes(p, period) for p in planes_a]
-    operands = (planes_a, planes_b, period, total_ones)
+    operands = (planes_a, planes_b, period)
 
-    def distances(start: int, stop: int) -> list[int]:
-        vals = _lane_shifts(a_lanes, b_lanes, reach, total_ones, start, stop)
+    def correlations(start: int, stop: int) -> list[int]:
+        vals = _lane_shifts(a_lanes, b_lanes, reach, start, stop)
         _spot_check(lambda n: vals[n - start], operands, {start, stop - 1})
         return vals
 
-    return distances
+    return correlations
 
 
 def _extended(q: int, period: int, reach: int) -> int:
@@ -529,15 +531,10 @@ def _lanes(x: int, nbits: int) -> list[int]:
 
 
 def _lane_shifts(
-    a_lanes: list,
-    b_lanes: list,
-    reach: int,
-    total_ones: int,
-    start: int,
-    stop: int,
+    a_lanes: list, b_lanes: list, reach: int, start: int, stop: int
 ) -> list[int]:
-    """Distances ``total_ones - 2*C(n)`` for n in [start, stop) from the
-    lanes of a's planes and of b's planes extended by ``reach`` bits.
+    """Correlations C(n) for n in [start, stop) from the lanes of a's
+    planes and of b's planes extended by ``reach`` bits.
 
     With m, r = divmod(reach - n, 64), bit 64*t + v of b's plane rotated
     by n is bit 64*(t + m) + v + r of the extension: bit t of lane v + r
@@ -590,7 +587,7 @@ def _lane_shifts(
             (s.bit_count() + y.bit_count()) << w
             for w, (s, y) in enumerate(zip(sums, waiting))
         )
-        vals.append(total_ones - 2 * c)
+        vals.append(c)
     return vals
 
 

@@ -291,7 +291,7 @@ ONE_TYPE_BUILDS = pytest.mark.parametrize(
 class TestOneType:
     def test_ensemble_declares_only_its_provenance(self):
         assert issubclass(Ensemble, Histogram)
-        assert set(Ensemble.__annotations__) == {"block", "decode"}
+        assert set(Ensemble.__annotations__) == {"block", "total_ones"}
 
     @ONE_TYPE_BUILDS
     def test_ensemble_is_its_histogram(self, build):
@@ -496,19 +496,37 @@ class TestKernelEquivalence:
                 st.integers(1, 100).flatmap(bit_strings),
             ),
             chunked_pair(),
+            # a self ensemble: one string, and b is a
+            st.integers(1, 100).flatmap(bit_strings).map(lambda a: (a, None)),
         ),
         st.lists(st.integers(0, 10**4), max_size=6),
     )
     def test_pair_large_lcm(self, kernel, pair, shifts):
-        a, b = pair
-        length = lcm(len(a), len(b))
-        with forced(kernel):
-            e = build_pair_ensemble(from_bits(a), from_bits(b), length)
-        shifts = [0, length - 1] + [n % length for n in shifts]
-        assert [e.values[n] for n in shifts] == naive_distances(a, b, shifts)
-        ones_a = a.count("1") * (length // len(a))
-        ones_b = b.count("1") * (length // len(b))
-        assert sum(e.values) == full_sum(length, ones_a, ones_b)
+        a_bits, b_bits = pair
+        a = from_bits(a_bits)
+        b = a if b_bits is None else from_bits(b_bits)
+        b_bits = b.to_bits()
+        length, period = lcm(a.nbits, b.nbits), gcd(a.nbits, b.nbits)
+        planes_a = ensemble._planes(a, period)
+        planes_b = planes_a if b is a else ensemble._planes(b, period)
+        ones_a = a_bits.count("1") * (length // len(a_bits))
+        ones_b = b_bits.count("1") * (length // len(b_bits))
+        for name in ENGINES if kernel == "product" else ENGINES[:1]:
+            with forced(kernel), engine(name):
+                if b is a:
+                    e = build_self_ensemble(a, length)
+                else:
+                    e = build_pair_ensemble(a, b, length)
+            # every kernel's block holds the correlations the shift loop gives
+            assert list(e.block) == [
+                ensemble._shift_correlations(planes_a, planes_b, period, n, n + 1)[0]
+                for n in range(len(e.block))
+            ], name
+            picked = [0, length - 1] + [n % length for n in shifts]
+            assert [e.values[n] for n in picked] == naive_distances(
+                a_bits, b_bits, picked
+            )
+            assert sum(e.values) == full_sum(length, ones_a, ones_b)
 
     @pytest.mark.parametrize("mode", ["self", "pair"])
     @settings(max_examples=3, deadline=None)
@@ -675,8 +693,8 @@ def fill(nbits, kind, draw):
 
 def shifts_of(spy):
     """Every shift the loop computed, from the calls on a spy of
-    ``_shift_distances``."""
-    return sorted(n for c in spy.call_args_list for n in range(*c.args[4:6]))
+    ``_shift_correlations``."""
+    return sorted(n for c in spy.call_args_list for n in range(*c.args[3:5]))
 
 
 class TestDistinctBlock:
@@ -768,7 +786,7 @@ class TestDistinctBlock:
             a, b = random_bitstring(100, 0.5, 7), random_bitstring(300, 0.5, 8)
             build, args, first, distinct = build_pair_ensemble, (a, b, n), 0, 100
         with forced("loop"), mock.patch.object(
-            ensemble, "_shift_distances", wraps=ensemble._shift_distances
+            ensemble, "_shift_correlations", wraps=ensemble._shift_correlations
         ) as loop:
             vals = build(*args).values
         assert shifts_of(loop) == list(range(first, min(n, distinct)))
@@ -852,32 +870,15 @@ def product_run(build):
     return runs[0]
 
 
-def _corrupt(kind):
-    def corrupt(vals):
-        vals = list(vals)
-        if kind == "sum":
-            vals[1] += 2
-        elif kind == "parity":
-            vals[1] += 1
-            vals[2] -= 1
-        else:
-            step = vals[1] + 2
-            vals[1] -= step
-            vals[2] += step
-        return tuple(vals)
-
-    return corrupt
-
-
-def corrupt_decode(monkeypatch, kind, corrupts=None):
-    """Corrupt the distance that the product's correlations decode to:
-    that of shift 0, in every observation it counts, or each distance
-    for which ``corrupts(d)`` holds."""
-    product, distance = ensemble._correlations, ensemble._distance
+def corrupt_decode(monkeypatch, kind, corrupts=None, kernel="_correlations"):
+    """Corrupt the distance that a kernel's correlations decode to: that
+    of the first correlation ``kernel`` returns, in every observation it
+    counts, or each distance for which ``corrupts(d)`` holds."""
+    computed, distance = getattr(ensemble, kernel), ensemble._distance
     first = []
 
     def correlations(*args):
-        cells = product(*args)
+        cells = computed(*args)
         first.append(cells[0])
         return cells
 
@@ -887,32 +888,47 @@ def corrupt_decode(monkeypatch, kind, corrupts=None):
             d = {"sum": d + 2, "parity": d + 1, "range": -2}[kind]
         return d
 
-    monkeypatch.setattr(ensemble, "_correlations", correlations)
+    monkeypatch.setattr(ensemble, kernel, correlations)
     monkeypatch.setattr(ensemble, "_distance", corrupted)
 
 
 def corrupt_cells(monkeypatch, moves):
-    """Move the distance of product cell j by ``moves[j]``, an even
-    number: the cell's correlation C(j) moves by half of it the other way."""
+    """Move the correlation C(j) in product cell j by ``moves[j]``: its
+    distance moves by twice that the other way."""
     product = ensemble._correlations
 
     def corrupted(*args):
         block = product(*args)
         cells = array(block.format, block)
         for j, move in moves.items():
-            cells[j] -= move // 2
+            cells[j] += move
         return memoryview(cells)
 
     monkeypatch.setattr(ensemble, "_correlations", corrupted)
 
 
 def corrupt_loop(monkeypatch, kind):
-    loop = ensemble._shift_distances
-    monkeypatch.setattr(
-        ensemble,
-        "_shift_distances",
-        lambda *args: list(_corrupt(kind)(loop(*args))),
-    )
+    """Corrupt the shift loop's range: its second correlation 1 lower,
+    its distance 2 higher ("sum"), or its third correlation moved to -1,
+    past every distance's bound, and its second up by as much ("range").
+    No correlation carries a parity fault: that goes into the distance
+    the range's first correlation decodes to."""
+    if kind == "parity":
+        corrupt_decode(monkeypatch, kind, kernel="_shift_correlations")
+        return
+    loop = ensemble._shift_correlations
+
+    def corrupted(*args):
+        vals = loop(*args)
+        if kind == "sum":
+            vals[1] -= 1
+        else:
+            step = vals[2] + 1
+            vals[1] += step
+            vals[2] -= step
+        return vals
+
+    monkeypatch.setattr(ensemble, "_shift_correlations", corrupted)
 
 
 EXACTNESS_PROBLEMS = pytest.mark.parametrize(
@@ -1037,7 +1053,8 @@ class TestExactnessCheck:
         b = random_bitstring(8192, 0.5, 9)
         with forced("product"):
             e = build_self_ensemble(b, 50)
-        unobserved = set(map(e.decode, e.block)) - set(e.values)
+        decoded = {ensemble._distance(e.total_ones, c) for c in e.block}
+        unobserved = decoded - set(e.values)
         assert unobserved
         corrupt_decode(monkeypatch, kind, corrupts=unobserved.__contains__)
         for name in ENGINES:
@@ -1052,28 +1069,30 @@ class TestExactnessCheck:
     def test_partial_product_entries_match_the_loop(self, n):
         b = random_bitstring(32768, 0.5, 11)
         assert slot_width(b.ones, b.ones) == 5
-        with forced("loop"):
+        with forced("loop"), spy_product() as spy:
             loop = build_self_ensemble(b, n)
+        assert not spy.called
         for name in ENGINES:
-            with forced("product"), engine(name):
+            with forced("product"), engine(name), spy_product() as spy:
                 product = build_self_ensemble(b, n)
-            assert product.decode is not None and loop.decode is None
+            assert spy.called
             assert product.entries == loop.entries
             assert sum(count for _, count in product.entries) == n
 
     def test_partial_product_pair_entries_match_the_loop(self):
         # 4 KB x 6 KB: g = 16384 bits, L = 98304
         a, b = random_bitstring(32768, 0.5, 12), random_bitstring(49152, 0.5, 13)
-        with forced("loop"):
+        with forced("loop"), spy_product() as spy:
             loop = build_pair_ensemble(a, b, 16384 + 1)
+        assert not spy.called
         for name in ENGINES:
-            with forced("product"), engine(name):
+            with forced("product"), engine(name), spy_product() as spy:
                 product = build_pair_ensemble(a, b, 16384 + 1)
-            assert product.decode is not None and loop.decode is None
+            assert spy.called
             assert product.entries == loop.entries
 
     # cells 1 and 2 stand for the same number of observations (shifts 1,
-    # 2 and their mirrors; or L/g each in the pair), so +2 and -2 on them
+    # 2 and their mirrors; or L/g each in the pair), so -1 and +1 on them
     # keep every distance in range, its parity and the sum
     @pytest.mark.parametrize("mode", ["self", "pair"])
     def test_product_spot_check_catches_moved_cells(self, mode, monkeypatch):
@@ -1083,8 +1102,9 @@ class TestExactnessCheck:
             a, b = random_bitstring(8192, 0.5, 9), random_bitstring(12288, 0.5, 10)
             args, build = (a, b), build_pair_ensemble
         with forced("loop"):
-            want = build(*args).values
-        corrupt_cells(monkeypatch, {1: 2, 2: -2})
+            loop = build(*args)
+        want, c1 = loop.values, loop.block[1]
+        corrupt_cells(monkeypatch, {1: -1, 2: 1})
         for name in ENGINES:
             with forced("product"), engine(name):
                 with mock.patch.object(ensemble, "_spot_check"):
@@ -1092,8 +1112,8 @@ class TestExactnessCheck:
                 assert (moved[1], moved[2]) == (want[1] + 2, want[2] - 2)
                 with pytest.raises(
                     ExactnessCheckFailed,
-                    match=rf"shift 1 is {want[1] + 2}, "
-                    rf"but the shift loop gives {want[1]}$",
+                    match=rf"correlation at shift 1 is {c1 - 1}, "
+                    rf"but the shift loop gives {c1}$",
                 ):
                     build(*args)
 
@@ -1223,15 +1243,13 @@ class TestEngines:
         ones_b = b.ones * (length // b.nbits)
         planes_a = ensemble._planes(a, period)
         planes_b = planes_a if b is a else ensemble._planes(b, period)
-        loop = ensemble._shift_distances(
-            planes_a, planes_b, period, ones_a + ones_b, 0, period
-        )
+        loop = ensemble._shift_correlations(planes_a, planes_b, period, 0, period)
         for name in ENGINES:
             with engine(name):
                 cells = ensemble._correlations(
                     planes_a, planes_b, period, period, min(ones_a, ones_b)
                 )
-            assert [ones_a + ones_b - 2 * c for c in cells] == loop, name
+            assert list(cells) == loop, name
 
     @pytest.mark.parametrize("failure", ["ImportError", "OSError", "missing symbol"])
     def test_fallback_when_gmp_does_not_load(self, failure, monkeypatch):
@@ -1260,6 +1278,26 @@ class TestEngines:
             assert built(ENGINE_BUILDS) == want
         assert fallback.call_count == len(ENGINE_BUILDS)
 
+    def test_gmp_load_tries_the_next_name(self, monkeypatch):
+        # the first library loads but lacks a function; the second has all
+        import ctypes
+
+        from strtherm import _gmp
+
+        def library(names):
+            return SimpleNamespace(**{name: SimpleNamespace() for name in names})
+
+        names = {f"__gmpz_{short.rstrip('_')}" for short in _gmp._FUNCTIONS}
+        complete = library(names)
+        libraries = {
+            _gmp._SONAMES[0]: library(names - {"__gmpz_mul"}),
+            _gmp._SONAMES[1]: complete,
+        }
+        monkeypatch.setattr(ctypes, "CDLL", libraries.__getitem__)
+        loaded = _gmp.load()
+        assert loaded is not None and loaded.func is _gmp.correlations
+        assert loaded.args[0].mul is getattr(complete, "__gmpz_mul")
+
     def test_gmp_is_loaded_only_for_a_product(self):
         script = (
             "import sys\n"
@@ -1284,10 +1322,12 @@ class TestEngines:
         if gmp is None:
             pytest.skip("libgmp is not installed")
 
+        # cell 2 is none of the shifts the spot check recomputes, so the
+        # sum and range checks must catch it
         def corrupted(*args):
             block = gmp(*args)
             cells = array(block.format, block)
-            cells[1] = cells[1] - 1 if kind == "sum" else 2**32 - 1
+            cells[2] = cells[2] - 1 if kind == "sum" else 2**32 - 1
             return memoryview(cells)
 
         monkeypatch.setattr(ensemble, "_load_gmp", lambda: corrupted)
@@ -1315,13 +1355,13 @@ def in_children(corrupt):
     """Patch the shift loop so that it returns ``corrupt(values)`` in
     forked children and the true values in this process."""
     parent = os.getpid()
-    loop = ensemble._shift_distances
+    loop = ensemble._shift_correlations
 
-    def shift_distances(*args):
+    def shift_correlations(*args):
         vals = loop(*args)
         return vals if os.getpid() == parent else corrupt(vals)
 
-    return mock.patch.object(ensemble, "_shift_distances", shift_distances)
+    return mock.patch.object(ensemble, "_shift_correlations", shift_correlations)
 
 
 def assert_no_children():
@@ -1420,19 +1460,19 @@ class TestSplitLoop:
     def test_busy_children_are_killed_on_failure(self):
         # the first child fails at once; the second would run for a minute
         parent = os.getpid()
-        loop = ensemble._shift_distances
+        loop = ensemble._shift_correlations
 
-        def shift_distances(planes_a, planes_b, period, total, start, stop):
+        def shift_correlations(planes_a, planes_b, period, start, stop):
             if os.getpid() != parent:
                 if start == 21:
                     raise RuntimeError("worker fault")
                 time.sleep(60)
-            return loop(planes_a, planes_b, period, total, start, stop)
+            return loop(planes_a, planes_b, period, start, stop)
 
         b = random_bitstring(301, 0.5, 3)
         began = time.monotonic()
         with forced("split"), mock.patch.object(
-            ensemble, "_shift_distances", shift_distances
+            ensemble, "_shift_correlations", shift_correlations
         ):
             with pytest.raises(ExactnessCheckFailed, match=r"shifts 21\.\.40"):
                 build_self_ensemble(b, 61)
@@ -1452,17 +1492,17 @@ class TestSplitLoop:
     def test_child_killed_by_a_signal_raises(self):
         # the second child kills itself partway through its range
         parent = os.getpid()
-        loop = ensemble._shift_distances
+        loop = ensemble._shift_correlations
 
-        def shift_distances(planes_a, planes_b, period, total, start, stop):
+        def shift_correlations(planes_a, planes_b, period, start, stop):
             if os.getpid() != parent and start == 41:
-                loop(planes_a, planes_b, period, total, start, start + 10)
+                loop(planes_a, planes_b, period, start, start + 10)
                 os.kill(os.getpid(), signal.SIGKILL)
-            return loop(planes_a, planes_b, period, total, start, stop)
+            return loop(planes_a, planes_b, period, start, stop)
 
         b = random_bitstring(301, 0.5, 3)
         with forced("split"), mock.patch.object(
-            ensemble, "_shift_distances", shift_distances
+            ensemble, "_shift_correlations", shift_correlations
         ):
             # a killed child leaves no note
             with pytest.raises(
@@ -1474,6 +1514,7 @@ class TestSplitLoop:
     def test_child_out_of_range_exits_two(self, tmp_path, capsys):
         path = tmp_path / "r.bin"
         path.write_bytes(random.Random(2).randbytes(64))
+        # correlations of -2 decode to distances above every bound
         with forced("split"), in_children(lambda vals: [-2] * len(vals)):
             rc = main(["analyze", str(path), "--ensemble", "40", "--format", "json"])
         assert rc == 2
@@ -1504,15 +1545,15 @@ class TestSplitLoop:
     def test_self_match_is_not_computed(self, bits, n):
         b = from_bits(bits)
         with forced("loop"), mock.patch.object(
-            ensemble, "_shift_distances", wraps=ensemble._shift_distances
+            ensemble, "_shift_correlations", wraps=ensemble._shift_correlations
         ) as loop, mock.patch.object(
             ensemble, "_planes", wraps=ensemble._planes
         ) as planes:
             self_vals = build_self_ensemble(b, n).values
             pair_vals = build_pair_ensemble(b, b, n).values
         # self mode starts at shift 1 and, with one shift, runs none;
-        # pair mode computes shift 0 as ones_a + ones_b - 2*popcount(a & b)
-        starts = [c.args[4] for c in loop.call_args_list]
+        # pair mode computes shift 0's correlation popcount(a & b)
+        starts = [c.args[3] for c in loop.call_args_list]
         assert starts == ([1] if n > 1 else []) + [0]
         # each build folds its one distinct string once, for either kernel
         assert planes.call_count == 2
@@ -1541,8 +1582,10 @@ class TestSplitLoop:
         bits = "0110" * 15 + "1101"
         value = int(bits, 2)
         total_ones = 2 * bits.count("1")
-        vals = ensemble._shift_distances([value], [value], 64, total_ones, 0, 3)
-        assert vals == naive_distances(bits, bits, range(3))
+        vals = ensemble._shift_correlations([value], [value], 64, 0, 3)
+        assert [total_ones - 2 * c for c in vals] == naive_distances(
+            bits, bits, range(3)
+        )
         assert events == [("block", 16), "freed", "shifts"]
 
 
@@ -1560,18 +1603,18 @@ def lane_operands(draw):
     last = draw(st.integers(0, period), label="last")
     start = draw(st.integers(0, last), label="start")
     stop = draw(st.integers(start + 1, last + 1), label="stop")
-    return (planes_a, planes_b, period, 10**6), last, start, stop
+    return (planes_a, planes_b, period), last, start, stop
 
 
 def in_range_corrupted(where):
     """Patch the lane kernel so that the range starting at ``where`` comes
-    out 2 higher in its first distance and 2 lower in its last; every
+    out 2 higher in its first correlation and 2 lower in its last; every
     other range, and the shift loop, stay true."""
     lanes = ensemble._lane_shifts
 
     def lane_shifts(*args):
         vals = lanes(*args)
-        if args[4] == where:
+        if args[3] == where:
             vals[0] += 2
             vals[-1] -= 2
         return vals
@@ -1581,7 +1624,7 @@ def in_range_corrupted(where):
 
 # four all-one planes a string: every AND of two lanes is all ones, so
 # the adders carry through the most levels
-DENSE_LANES = (([2**200 - 1] * 4, [2**200 - 1] * 4, 200, 10**6), 200, 0, 201)
+DENSE_LANES = (([2**200 - 1] * 4, [2**200 - 1] * 4, 200), 200, 0, 201)
 
 
 class TestLaneKernel:
@@ -1590,8 +1633,8 @@ class TestLaneKernel:
     @example(DENSE_LANES)
     def test_lanes_match_the_loop(self, drawn):
         operands, last, start, stop = drawn
-        distances = ensemble._lane_kernel(*operands, last)
-        assert distances(start, stop) == ensemble._shift_distances(
+        correlations = ensemble._lane_kernel(*operands, last)
+        assert correlations(start, stop) == ensemble._shift_correlations(
             *operands, start, stop
         )
 
@@ -1647,7 +1690,7 @@ class TestLaneKernel:
         with mock.patch.object(
             ensemble, "_lane_kernel", wraps=ensemble._lane_kernel
         ) as kernel, mock.patch.object(
-            ensemble, "_shift_distances", wraps=ensemble._shift_distances
+            ensemble, "_shift_correlations", wraps=ensemble._shift_correlations
         ) as loop:
             vals = build_self_ensemble(b, n).values
         assert kernel.called == lanes
@@ -1672,7 +1715,7 @@ class TestLaneKernel:
             with pytest.raises(
                 ExactnessCheckFailed,
                 match=r"shifts 21\.\.40 exited with status 1: "
-                r"distance at shift 21 is \d+, but the shift loop gives \d+$",
+                r"correlation at shift 21 is \d+, but the shift loop gives \d+$",
             ):
                 build_self_ensemble(b, 61)
         assert_no_children()
