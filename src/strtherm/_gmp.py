@@ -1,18 +1,31 @@
-"""Cyclic correlations from one exact product in the system GMP (libgmp),
-called through ``ctypes``.
+"""Exact kernels on the system GMP (libgmp), called through ``ctypes``:
+the cyclic correlations of a full ensemble from one product (``mpz_mul``),
+and the shift loop of a many-shift partial ensemble (``mpn_rshift`` and
+``mpn_hamdist``).
 
-``ensemble`` imports this module on the first product it builds, so that
-importing the command line loads neither ``ctypes`` nor libgmp.  Where
-either is missing, ``ensemble`` multiplies with ``decimal`` instead, and
-gets the same cells.  GMP aborts the process when it cannot allocate
-memory, where ``decimal`` raises ``MemoryError``.
+``ensemble`` imports this module on the first build that needs either, so
+that importing the command line loads neither ``ctypes`` nor libgmp.
+Where either is missing, ``ensemble`` multiplies with ``decimal`` and
+shifts with Python ints instead, and gets the same correlations.  GMP
+aborts the process when it cannot allocate memory, where ``decimal``
+raises ``MemoryError``.
 """
 
 from __future__ import annotations
 
 import ctypes
+import sys
 from collections.abc import Callable
-from ctypes import POINTER, Structure, c_int, c_size_t, c_ulong, c_void_p
+from ctypes import (
+    POINTER,
+    Structure,
+    c_int,
+    c_long,
+    c_size_t,
+    c_uint,
+    c_ulong,
+    c_void_p,
+)
 from functools import partial
 from types import SimpleNamespace
 
@@ -50,13 +63,22 @@ _FUNCTIONS = {
     "sizeinbase": (c_size_t, [_MPZ, c_int]),
 }
 
+# the same for the low-level functions, named without "__gmpn_": limb
+# counts are mp_size_t (long), the shift is unsigned, and rshift returns
+# the limb shifted out, hamdist an mp_bitcnt_t
+_MPN_FUNCTIONS = {
+    "rshift": (c_ulong, [c_void_p, c_void_p, c_long, c_uint]),
+    "hamdist": (c_ulong, [c_void_p, c_void_p, c_long]),
+}
+
 # the digits of a plane's binary text to the words' bytes 0 and 1
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def load() -> Callable[..., memoryview] | None:
-    """``correlations`` bound to the first libgmp that loads with every
-    function it needs, or None."""
+def load() -> SimpleNamespace | None:
+    """The kernels bound to the first libgmp that loads with every
+    function they need, or None: ``correlations``, and ``shift_kernel``
+    where GMP's limbs are little-endian 64-bit words (else None)."""
     for name in _SONAMES:
         try:
             lib = ctypes.CDLL(name)
@@ -64,14 +86,24 @@ def load() -> Callable[..., memoryview] | None:
             continue
         gmp = SimpleNamespace()
         try:
-            for short, (restype, argtypes) in _FUNCTIONS.items():
-                function = getattr(lib, "__gmpz_" + short.rstrip("_"))
-                function.restype, function.argtypes = restype, argtypes
-                setattr(gmp, short, function)
+            for prefix, table in (("__gmpz_", _FUNCTIONS), ("__gmpn_", _MPN_FUNCTIONS)):
+                for short, (restype, argtypes) in table.items():
+                    function = getattr(lib, prefix + short.rstrip("_"))
+                    function.restype, function.argtypes = restype, argtypes
+                    setattr(gmp, short, function)
         except AttributeError:
             continue
-        return partial(correlations, gmp)
+        limbs_fit = _limb_bits(lib) == 64 and sys.byteorder == "little"
+        return SimpleNamespace(
+            correlations=partial(correlations, gmp),
+            shift_kernel=partial(shift_kernel, gmp) if limbs_fit else None,
+        )
     return None
+
+
+def _limb_bits(lib: ctypes.CDLL) -> int:
+    """The bits of one of ``lib``'s limbs, its ``__gmp_bits_per_limb``."""
+    return c_int.in_dll(lib, "__gmp_bits_per_limb").value
 
 
 def correlations(
@@ -125,6 +157,88 @@ def correlations(
     return memoryview(cells).cast("I" if size == 4 else "Q")[:count]
 
 
+def shift_kernel(
+    gmp: SimpleNamespace,
+    planes_a: list[int],
+    planes_b: list[int],
+    period: int,
+    last: int,
+) -> Callable[[int, int], list[int]]:
+    """``correlations(start, stop)``, the correlations C(n) for n in
+    [start, stop) within 0..``last`` that ``ensemble._shift_correlations``
+    computes, on GMP's limbs.
+
+    Each of b's planes is laid into limbs once, before any range runs, as
+    its linear extension by ``reach``, ``last`` rounded up to a multiple of
+    64 (``_extension``).  Rotated by n, the plane is the extension shifted
+    right by reach - n: by (reach - n) // 64 whole limbs, a window's
+    offset, and by r = (reach - n) % 64 bits, one ``mpn_rshift`` that every
+    shift of the range with that r shares.  Each pair of planes P_i of a
+    and Q_j of b then takes one ``mpn_hamdist`` against the window W:
+    popcount(P_i & W) = (pop(P_i) + pop(Q_j) - hamdist) / 2, since W holds
+    the bits of Q_j.  The window's top limb runs past the period unless 64
+    divides it, and the bits above are taken off the distance.  In self
+    mode a's planes are the windows of b's extensions at limb reach // 64,
+    with nothing above the period: each plane is laid out once.
+    """
+    reach = -(-last // 64) * 64
+    words = -(-period // 64)  # limbs of a window
+    limbs = words + reach // 64  # limbs of an extension
+    used = (period - 1) % 64 + 1  # bits of a window's top limb within the period
+    b_limbs = [_limbs(_extension(q, period, reach, limbs)) for q in planes_b]
+    if planes_a is planes_b:
+        a_limbs = [(address + reach // 8, cells) for address, cells in b_limbs]
+    else:
+        a_limbs = [_limbs(bytearray(p.to_bytes(8 * words, "little"))) for p in planes_a]
+    ones_b = [q.bit_count() for q in planes_b]
+    ones_a = ones_b if planes_a is planes_b else [p.bit_count() for p in planes_a]
+
+    def correlations(start: int, stop: int) -> list[int]:
+        # a shift past reach would put its window before the extension
+        if not 0 <= start < stop <= last + 1:
+            raise ValueError(f"shifts {start}..{stop - 1} are not within 0..{last}")
+        vals = [0] * (stop - start)
+        shifted = [_limbs(bytearray(8 * limbs)) for _ in planes_b]
+        # the shifts of each r are taken from the range's first on, so
+        # its first hamdist is that of its first shift
+        for first in range(start, min(stop, start + 64)):
+            r = (reach - first) % 64
+            if r:
+                for (source, _), (target, _) in zip(b_limbs, shifted):
+                    gmp.rshift(target, source, limbs, r)
+            windows = shifted if r else b_limbs
+            for n in range(first, stop, 64):
+                m = (reach - n) // 64
+                c = 0
+                for j, (address, cells) in enumerate(windows):
+                    above = (cells[m + words - 1] >> used).bit_count()
+                    for i, (p, _) in enumerate(a_limbs):
+                        distance = gmp.hamdist(p, address + 8 * m, words) - above
+                        c += (ones_a[i] + ones_b[j] - distance) << (i + j)
+                vals[n - start] = c >> 1
+        return vals
+
+    return correlations
+
+
+def _extension(q: int, period: int, reach: int, limbs: int) -> bytearray:
+    """The ``period``-bit ``q`` extended linearly by ``reach`` bits, as
+    ``limbs`` little-endian 64-bit limbs: bit y, for y < period + reach,
+    is bit (y - reach) mod period of ``q``, and every bit above is 0."""
+    if reach > period:
+        skip = -reach % period
+        repeated = q
+        for _ in range((reach + skip) // period):
+            repeated = repeated << period | q
+        return bytearray((repeated >> skip).to_bytes(8 * limbs, "little"))
+    # q from bit reach on, and its top reach bits below
+    data = bytearray(8 * limbs)
+    low, size = reach // 8, -(-period // 8)
+    data[:low] = (q >> (period - reach)).to_bytes(low, "little")
+    data[low : low + size] = q.to_bytes(size, "little")
+    return data
+
+
 def _operand(
     gmp: SimpleNamespace,
     z: _Mpz,
@@ -148,6 +262,12 @@ def _operand(
         if i:
             gmp.mul_2exp(z, z, 1)
             gmp.add(z, z, scratch)
+
+
+def _limbs(data: bytearray) -> tuple[int, memoryview]:
+    """The address of ``data`` and a view of it as 64-bit limbs, which
+    keeps it alive and in place while the view lives."""
+    return ctypes.addressof(_pointer(data)), memoryview(data).cast("Q")
 
 
 def _pointer(buffer: bytearray) -> ctypes.Array:

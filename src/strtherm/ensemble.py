@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import cache, cached_property, partial
 from math import gcd, lcm
-from operator import and_
+from types import SimpleNamespace
 
 from .bitstring import BitString
 from .errors import ExactnessCheckFailed, InvalidEnsembleSize
@@ -53,10 +53,10 @@ _PRODUCT_SHIFTS = 50
 # 24 MiB resident; same machine); 1.1-1.4 while the host ran both on one CPU
 _FORK_BITS = 1 << 27
 
-# the lane kernel serves shift loops of at least this many shifts on a
-# period of at least this many bits; _use_lanes gives the measurements
-_LANE_SHIFTS = 64
-_LANE_BITS = 1 << 20
+# GMP's shift kernel serves shift loops of at least this many shifts on a
+# period of at least this many bits; _gmp_loop gives the measurements
+_GMP_SHIFTS = 12
+_GMP_BITS = 1 << 18
 
 # a product build is spot-checked at this many shifts spread evenly over
 # its distinct block, at the block's last shift and at shifts 1 and g - 1
@@ -64,14 +64,6 @@ _SPOT_SHIFTS = 8
 
 # bytes of a failed worker's error text kept after the shared correlations
 _NOTE_BYTES = 256
-
-# (shift, mask within one 8-byte word) of the three delta swaps that
-# transpose the 8x8 bit block of every word
-_TRANSPOSE8 = (
-    (7, 0x00AA00AA00AA00AA),
-    (14, 0x0000CCCC0000CCCC),
-    (28, 0x00000000F0F0F0F0),
-)
 
 
 @dataclass(frozen=True)
@@ -180,8 +172,9 @@ def _build(
     else:
         # observation 0 of a self ensemble is the self-match, C(0) = ones
         first = 1 if mode == SELF_MODE else 0
-        if _use_lanes(shifts - first, period):
-            kernel = _lane_kernel(*operands, shifts - 1)
+        gmp_loop = _gmp_loop(shifts - first, period)
+        if gmp_loop:
+            kernel = _checked(gmp_loop(*operands, shifts - 1), operands)
         else:
             kernel = partial(_shift_correlations, *operands)
         block = (a.ones,) * first + _loop_correlations(kernel, first, shifts, work)
@@ -271,23 +264,42 @@ def _use_product(work: int, slots: int, width: int) -> bool:
     )
 
 
-def _use_lanes(shifts: int, period: int) -> bool:
-    """True when the lane kernel is cheaper than ``_shift_correlations`` for
-    a loop of ``shifts`` shifts over ``period`` bits.
+def _gmp_loop(shifts: int, period: int) -> Callable[..., Callable] | None:
+    """GMP's shift kernel (``_gmp.shift_kernel``) for a loop of ``shifts``
+    shifts over ``period`` bits where it is cheaper than
+    ``_shift_correlations`` and loads, else None.
 
-    The lane kernel pays a transpose of 1.0-1.7 ns a bit up front, and
-    about 35 us of interpreter work a shift on any period, then saves
-    most of the popcount of every shift.  Loop time over lane time, the
-    transpose included (one-plane random self strings, one process, best
-    of 3, range of 4 sweeps; CPython 3.11, 2-core Intel Xeon VM): with
-    257 shifts 0.24-0.33 at 2**16 bits, 0.62-0.74 at 2**18, 0.74-0.89 at
-    2**19, 0.65-1.19 at 2**20, 1.01-1.59 at 2**21 - 3, 1.82-2.53 at 2**22
-    and 1.61-2.06 at 2**23; with 64 shifts at the last four sizes
-    0.84-0.88, 0.68-1.47, 0.91-1.28 and 0.87-1.49; with 32 shifts
-    0.41-0.66 at 2**20 and 0.76-1.17 at 2**23.  A split loop transposes
-    once, before it forks, so its ranges cannot divide that cost.
+    The kernel pays about 2.5 ms a MB up front to lay b's planes into
+    limbs (``int.to_bytes``), the time of two loop shifts for each range's
+    spot check, and a few us of interpreter work a shift on any period;
+    it then shifts in about a third of the loop's time (0.31 against
+    0.9-1.6 ms at 2**23 bits).  Loop time over kernel time, spot check
+    and limbs included (one-plane random self strings, one process, best
+    of 5, range of 4 sweeps; CPython 3.11, GMP 6.2.1, 2-core Intel Xeon
+    VM): with 12 shifts 0.59-0.61 at 2**15 bits, 0.75-0.78 at 2**16,
+    0.90-1.56 at 2**17, 1.00-1.05 at 2**18, 1.01-1.12 at 2**20 and
+    1.00-1.39 at 2**23; with 10 shifts 0.88-1.41 from 2**18 on; with 16
+    shifts 0.85-0.91 at 2**16 and 1.04-1.06 at 2**17; with 32 shifts
+    1.06-1.09 at 2**16.
     """
-    return shifts >= _LANE_SHIFTS and period >= _LANE_BITS
+    if shifts < _GMP_SHIFTS or period < _GMP_BITS:
+        return None
+    gmp = _load_gmp()
+    return gmp and gmp.shift_kernel
+
+
+def _checked(
+    correlations: Callable[[int, int], list[int]], operands: tuple
+) -> Callable[[int, int], list[int]]:
+    """``correlations(start, stop)`` with each range's first and last
+    shift checked by ``_spot_check`` on ``operands``."""
+
+    def checked(start: int, stop: int) -> list[int]:
+        vals = correlations(start, stop)
+        _spot_check(lambda n: vals[n - start], operands, {start, stop - 1})
+        return vals
+
+    return checked
 
 
 def _loop_correlations(
@@ -439,10 +451,10 @@ def _spot_check(
     planes and the period) for each n in ``shifts``.
 
     The shift loop shares no code with the product's fold, multiply and
-    cell export, nor with the lane kernel's transpose and adders, so it
-    is an independent oracle; it costs one pass over the period per plane
-    pair and shift.  It catches what the range, parity and sum checks let
-    through, such as two correlations moved by +1 and -1.
+    cell export, nor with GMP's shift kernel, so it is an independent
+    oracle; it costs one pass over the period per plane pair and shift.
+    It catches what the range, parity and sum checks let through, such
+    as two correlations moved by +1 and -1.
     """
     for n in sorted(shifts):
         expected = _shift_correlations(*operands, n, n + 1)[0]
@@ -451,144 +463,6 @@ def _spot_check(
                 f"correlation at shift {n} is {correlation(n)}, "
                 f"but the shift loop gives {expected}"
             )
-
-
-def _lane_kernel(
-    planes_a: list, planes_b: list, period: int, last: int
-) -> Callable[[int, int], list[int]]:
-    """The lane kernel for shifts 0..``last``: ``correlations(start,
-    stop)``, which ``_loop_correlations`` calls once per range, and which
-    checks the first and last shift of its range with ``_spot_check``.
-
-    Every plane is cut into 64 lanes (``_lanes``), once, before any range
-    runs.  b's planes are first extended linearly by ``reach``, ``last``
-    rounded up to a multiple of 64 (``_extended``), so that each rotation
-    by n <= reach is a plain right shift of the extension by reach - n:
-    in lanes, a right shift of each lane by (reach - n) // 64 or one more,
-    with the lanes renumbered by (reach - n) % 64.  In self mode a's
-    planes are b's, and its lanes are those of b's extension from bit
-    ``reach`` on, cut to the period: each string is transposed once.
-    """
-    reach = -(-last // 64) * 64
-    b_lanes = [_lanes(_extended(q, period, reach), period + reach) for q in planes_b]
-    if planes_a is planes_b:
-        a_lanes = [
-            [
-                (lane >> reach // 64) & ((1 << (period - v + 63) // 64) - 1)
-                for v, lane in enumerate(lanes)
-            ]
-            for lanes in b_lanes
-        ]
-    else:
-        a_lanes = [_lanes(p, period) for p in planes_a]
-    operands = (planes_a, planes_b, period)
-
-    def correlations(start: int, stop: int) -> list[int]:
-        vals = _lane_shifts(a_lanes, b_lanes, reach, start, stop)
-        _spot_check(lambda n: vals[n - start], operands, {start, stop - 1})
-        return vals
-
-    return correlations
-
-
-def _extended(q: int, period: int, reach: int) -> int:
-    """The ``period``-bit ``q`` extended linearly by ``reach`` bits: bit y
-    of the result, for y < period + reach, is bit (y - reach) mod period
-    of ``q``."""
-    skip = -reach % period
-    repeated = q
-    for _ in range((reach + skip) // period):
-        repeated = repeated << period | q
-    return repeated >> skip
-
-
-def _lanes(x: int, nbits: int) -> list[int]:
-    """The 64 lanes of the ``nbits``-bit ``x``: bit t of lane v is bit
-    64*t + v of ``x``.
-
-    Byte c of every little-endian 8-byte word of ``x``, the slice
-    ``data[c::8]``, holds bit 64*t + 8*c + b of ``x`` at bit 8*t + b.
-    Three delta swaps (``_TRANSPOSE8`` repeated over the slice's words)
-    transpose the 8x8 bit block of each of its words, so byte b of word w
-    holds bits 64*w + 8*k + b of the slice, k = 0..7; its bytes b, b + 8,
-    ... are lane 8*c + b.
-    """
-    size = -(-nbits // 512)  # 8-byte words of each byte-stride slice
-    masks = [
-        int.from_bytes(mask.to_bytes(8, "little") * size, "little")
-        for _, mask in _TRANSPOSE8
-    ]
-    data = x.to_bytes(-(-nbits // 64) * 8, "little")
-    lanes = []
-    for c in range(8):
-        y = int.from_bytes(data[c::8], "little")
-        for (shift, _), mask in zip(_TRANSPOSE8, masks):
-            swap = (y ^ y >> shift) & mask
-            y ^= swap ^ swap << shift
-        column = y.to_bytes(8 * size, "little")
-        lanes += [int.from_bytes(column[b::8], "little") for b in range(8)]
-    return lanes
-
-
-def _lane_shifts(
-    a_lanes: list, b_lanes: list, reach: int, start: int, stop: int
-) -> list[int]:
-    """Correlations C(n) for n in [start, stop) from the lanes of a's
-    planes and of b's planes extended by ``reach`` bits.
-
-    With m, r = divmod(reach - n, 64), bit 64*t + v of b's plane rotated
-    by n is bit 64*(t + m) + v + r of the extension: bit t of lane v + r
-    shifted right by m, or of lane v + r - 64 shifted by m + 1 when
-    v + r >= 64.  The lanes shifted by m serve 64 shifts, and those of
-    the group before, shifted by m + 1, are reused.  Lane v of a's plane
-    i ANDed with that lane of b's plane j counts at weight i + j.  The
-    AND results go through carry-save full adders as they come: each
-    weight keeps a running sum and at most one waiting vector, and a
-    third vector turns the three into a sum at that weight and a carry
-    into the next.  Only the few vectors left are popcounted, so the
-    shift costs mostly ANDs and XORs, several times cheaper a bit than
-    ``int.bit_count``, and no shift of a whole plane.
-    """
-    # a carry reaches level w only at a bit whose count is at least 2**w,
-    # and no count reaches 64 * 2**len(a_lanes) * 2**len(b_lanes)
-    levels = len(a_lanes) + len(b_lanes) + 6
-    vals = []
-    group, current, upper = None, [], []
-    for n in range(start, stop):
-        m, r = divmod(reach - n, 64)
-        if m != group:
-            if group != m + 1:
-                current = [[lane >> m + 1 for lane in lanes] for lanes in b_lanes]
-            upper = current
-            current = [[lane >> m for lane in lanes] for lanes in b_lanes]
-            group = m
-        # a zero vector adds nothing, so 0 also marks an empty place
-        sums, waiting = [0] * levels, [0] * levels
-        for j, (low, high) in enumerate(zip(current, upper)):
-            rotated = low[r:] + high[:r]
-            for i, lanes in enumerate(a_lanes):
-                for x in map(and_, lanes, rotated):
-                    w = i + j
-                    while x:
-                        s = sums[w]
-                        if not s:
-                            sums[w] = x
-                            break
-                        y = waiting[w]
-                        if not y:
-                            waiting[w] = x
-                            break
-                        waiting[w] = 0
-                        u = s ^ y
-                        sums[w] = u ^ x
-                        x = s & y | u & x
-                        w += 1
-        c = sum(
-            (s.bit_count() + y.bit_count()) << w
-            for w, (s, y) in enumerate(zip(sums, waiting))
-        )
-        vals.append(c)
-    return vals
 
 
 def _slots(bits: bytes, width: int) -> Decimal:
@@ -620,9 +494,9 @@ def _folded(planes: list[int], period: int, width: int, reverse: bool) -> Decima
 
 
 @cache
-def _load_gmp() -> Callable[..., memoryview] | None:
-    """``_gmp.correlations`` bound to the system libgmp, or None where
-    ``ctypes`` or libgmp cannot be loaded."""
+def _load_gmp() -> SimpleNamespace | None:
+    """The kernels of ``_gmp.load`` bound to the system libgmp, or None
+    where ``ctypes`` or libgmp cannot be loaded."""
     try:
         from ._gmp import load
     except ImportError:
@@ -638,7 +512,8 @@ def _correlations(
     exact product; no correlation exceeds ``bound``.  GMP multiplies
     where it loads, ``decimal`` elsewhere, and both give the same cells.
     """
-    engine = _load_gmp() or _decimal_correlations
+    gmp = _load_gmp()
+    engine = gmp.correlations if gmp else _decimal_correlations
     return engine(planes_a, planes_b, period, count, bound)
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strtherm import ensemble
+from strtherm import _gmp, ensemble
 from strtherm.bitstring import (
     LSB_FIRST,
     MSB_FIRST,
@@ -330,14 +330,18 @@ def bit_strings(length):
 
 
 # settings that force one kernel for every ensemble size; the split loops
-# get three CPUs on any host, so short ensembles leave some idle
-LANES = {"_PRODUCT_SHIFTS": 10**9, "_LANE_SHIFTS": 0, "_LANE_BITS": 0}
+# get three CPUs on any host, so short ensembles leave some idle.  "lanes"
+# and "split lanes" force GMP's shift kernel, where libgmp loads: the ids
+# keep the name of the lane kernel that it replaced, so that every
+# parametrized test keeps its id
+LOOP = {"_PRODUCT_SHIFTS": 10**9, "_GMP_SHIFTS": 10**9}
+GMP_LOOP = {"_PRODUCT_SHIFTS": 10**9, "_GMP_SHIFTS": 0, "_GMP_BITS": 0}
 KERNEL_SETTINGS = {
     "product": {"_PRODUCT_SHIFTS": 0},
-    "loop": {"_PRODUCT_SHIFTS": 10**9},
-    "split": {"_PRODUCT_SHIFTS": 10**9, "_FORK_BITS": 0},
-    "lanes": LANES,
-    "split lanes": {**LANES, "_FORK_BITS": 0},
+    "loop": LOOP,
+    "split": {**LOOP, "_FORK_BITS": 0},
+    "lanes": GMP_LOOP,
+    "split lanes": {**GMP_LOOP, "_FORK_BITS": 0},
 }
 KERNELS = pytest.mark.parametrize("kernel", list(KERNEL_SETTINGS))
 SPLIT_CPUS = 3
@@ -1282,21 +1286,25 @@ class TestEngines:
         # the first library loads but lacks a function; the second has all
         import ctypes
 
-        from strtherm import _gmp
-
         def library(names):
             return SimpleNamespace(**{name: SimpleNamespace() for name in names})
 
         names = {f"__gmpz_{short.rstrip('_')}" for short in _gmp._FUNCTIONS}
+        names |= {f"__gmpn_{short}" for short in _gmp._MPN_FUNCTIONS}
         complete = library(names)
-        libraries = {
-            _gmp._SONAMES[0]: library(names - {"__gmpz_mul"}),
-            _gmp._SONAMES[1]: complete,
-        }
-        monkeypatch.setattr(ctypes, "CDLL", libraries.__getitem__)
-        loaded = _gmp.load()
-        assert loaded is not None and loaded.func is _gmp.correlations
-        assert loaded.args[0].mul is getattr(complete, "__gmpz_mul")
+        monkeypatch.setattr(_gmp, "_limb_bits", lambda lib: 64)
+        for missing in ("__gmpz_mul", "__gmpn_hamdist"):
+            libraries = {
+                _gmp._SONAMES[0]: library(names - {missing}),
+                _gmp._SONAMES[1]: complete,
+            }
+            monkeypatch.setattr(ctypes, "CDLL", libraries.__getitem__)
+            loaded = _gmp.load()
+            assert loaded is not None and loaded.correlations.func is _gmp.correlations
+            assert loaded.correlations.args[0].mul is getattr(complete, "__gmpz_mul")
+            kernel = loaded.shift_kernel
+            assert kernel is not None and kernel.func is _gmp.shift_kernel
+            assert kernel.args[0].hamdist is getattr(complete, "__gmpn_hamdist")
 
     def test_gmp_is_loaded_only_for_a_product(self):
         script = (
@@ -1325,12 +1333,13 @@ class TestEngines:
         # cell 2 is none of the shifts the spot check recomputes, so the
         # sum and range checks must catch it
         def corrupted(*args):
-            block = gmp(*args)
+            block = gmp.correlations(*args)
             cells = array(block.format, block)
             cells[2] = cells[2] - 1 if kind == "sum" else 2**32 - 1
             return memoryview(cells)
 
-        monkeypatch.setattr(ensemble, "_load_gmp", lambda: corrupted)
+        corrupted_gmp = SimpleNamespace(correlations=corrupted, shift_kernel=None)
+        monkeypatch.setattr(ensemble, "_load_gmp", lambda: corrupted_gmp)
         with pytest.raises(ExactnessCheckFailed, match=problem):
             build_self_ensemble(random_bitstring(8192, 0.5, 9))
         path = tmp_path / "r.bin"
@@ -1348,7 +1357,7 @@ class TestEngines:
         if gmp is None:
             pytest.skip("libgmp is not installed")
         with pytest.raises(ExactnessCheckFailed, match="needs 12 slots, more than 8"):
-            gmp([255, 255], [255, 255], 8, 8, 1)
+            gmp.correlations([255, 255], [255, 255], 8, 8, 1)
 
 
 def in_children(corrupt):
@@ -1590,7 +1599,7 @@ class TestSplitLoop:
 
 
 @st.composite
-def lane_operands(draw):
+def loop_operands(draw):
     """Count planes of a period of 1-200 bits, odd ones included: 1-4
     planes each, or one list for both as in self mode; the last shift of
     the loop, so that the linear extension, rounded up to 64 bits, may be
@@ -1606,112 +1615,118 @@ def lane_operands(draw):
     return (planes_a, planes_b, period), last, start, stop
 
 
-def in_range_corrupted(where):
-    """Patch the lane kernel so that the range starting at ``where`` comes
-    out 2 higher in its first correlation and 2 lower in its last; every
-    other range, and the shift loop, stay true."""
-    lanes = ensemble._lane_shifts
-
-    def lane_shifts(*args):
-        vals = lanes(*args)
-        if args[3] == where:
-            vals[0] += 2
-            vals[-1] -= 2
-        return vals
-
-    return mock.patch.object(ensemble, "_lane_shifts", lane_shifts)
+def operands_at(period, last, same):
+    """Two random planes of a and three of b, or a's for both, of
+    ``period`` bits, with the loop's ``last`` shift and its whole range."""
+    rng = random.Random(period)
+    planes_a = [rng.getrandbits(period) for _ in range(2)]
+    planes_b = planes_a if same else [rng.getrandbits(period) for _ in range(3)]
+    return (planes_a, planes_b, period), last, 0, last + 1
 
 
-# four all-one planes a string: every AND of two lanes is all ones, so
-# the adders carry through the most levels
-DENSE_LANES = (([2**200 - 1] * 4, [2**200 - 1] * 4, 200), 200, 0, 201)
+# four all-one planes a string: every correlation is the largest its
+# planes allow
+DENSE_PLANES = (([2**200 - 1] * 4, [2**200 - 1] * 4, 200), 200, 0, 201)
+
+GMP = ensemble._load_gmp()
+needs_gmp_loop = pytest.mark.skipif(
+    GMP is None or GMP.shift_kernel is None,
+    reason="no libgmp with 64-bit little-endian limbs",
+)
 
 
-class TestLaneKernel:
+def hamdist_moved(where, parent=None):
+    """Patch GMP's shift kernel so that the first ``mpn_hamdist`` of the
+    range starting at ``where`` comes out 2 higher, which moves its first
+    correlation down by 1; only in forked children if ``parent`` is this
+    process's id.  Every other range, and the shift loop, stay true."""
+    gmp = GMP.shift_kernel.args[0]
+    range_start = {}
+
+    def hamdist(*args):
+        moved = range_start.pop("first call", None) == where
+        return gmp.hamdist(*args) + 2 * (moved and os.getpid() != parent)
+
+    def shift_kernel(*args):
+        moved = SimpleNamespace(**{**vars(gmp), "hamdist": hamdist})
+        correlations = _gmp.shift_kernel(moved, *args)
+
+        def ranged(start, stop):
+            range_start["first call"] = start
+            return correlations(start, stop)
+
+        return ranged
+
+    return mock.patch.object(GMP, "shift_kernel", shift_kernel)
+
+
+@needs_gmp_loop
+class TestGmpLoop:
     @settings(max_examples=300, deadline=None)
-    @given(lane_operands())
-    @example(DENSE_LANES)
-    def test_lanes_match_the_loop(self, drawn):
+    @given(loop_operands())
+    @example(DENSE_PLANES)
+    # periods on either side of one and two limbs; the extension by
+    # reach, last rounded up to 64, is longer than the period at 63, 127
+    # and 129, and no longer at 64, 65 and 128
+    @example(operands_at(63, 63, same=True))
+    @example(operands_at(64, 64, same=False))
+    @example(operands_at(65, 64, same=True))
+    @example(operands_at(127, 100, same=False))
+    @example(operands_at(128, 128, same=True))
+    @example(operands_at(129, 129, same=False))
+    def test_gmp_loop_matches_the_loop(self, drawn):
         operands, last, start, stop = drawn
-        correlations = ensemble._lane_kernel(*operands, last)
+        correlations = GMP.shift_kernel(*operands, last)
         assert correlations(start, stop) == ensemble._shift_correlations(
             *operands, start, stop
         )
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(1, 700).flatmap(
-            lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))
-        )
-    )
-    # word counts that are not a multiple of 8: the byte-stride slices
-    # are padded to whole words before their transpose
-    @example((63, random.Random(63).getrandbits(63)))
-    @example((64, random.Random(64).getrandbits(64)))
-    @example((65, random.Random(65).getrandbits(65)))
-    @example((511, random.Random(511).getrandbits(511)))
-    @example((512, random.Random(512).getrandbits(512)))
-    @example((513, random.Random(513).getrandbits(513)))
-    def test_lanes_split_by_residue(self, drawn):
-        nbits, x = drawn
-        for v, lane in enumerate(ensemble._lanes(x, nbits)):
-            bits = range(v, nbits, 64)
-            assert lane == sum(((x >> i) & 1) << t for t, i in enumerate(bits)), v
-
-    @pytest.mark.parametrize("nbits", [2**20 - 1, 2**21 - 3, 2**23 + 64])
-    def test_large_lanes_sampled(self, nbits):
-        # a per-bit reference is too slow here: sampled bits, and every
-        # set bit in exactly one lane
-        x = random.Random(nbits).getrandbits(nbits)
-        lanes = ensemble._lanes(x, nbits)
-        assert len(lanes) == 64
-        assert sum(lane.bit_count() for lane in lanes) == x.bit_count()
-        rng = random.Random(17)
-        for _ in range(256):
-            v = rng.randrange(64)
-            t = rng.randrange(-(-(nbits - v) // 64))
-            assert (lanes[v] >> t) & 1 == (x >> (64 * t + v)) & 1, (v, t)
-        for v, lane in enumerate(lanes):
-            assert lane.bit_length() <= -(-(nbits - v) // 64), v
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (5, 12), (4, 4)])
+    def test_shifts_outside_the_kernel_raise(self, start, stop):
+        # a window past the extension would be read before its buffer
+        operands, *_ = operands_at(100, 10, same=False)
+        correlations = GMP.shift_kernel(*operands, 10)
+        with pytest.raises(ValueError, match="not within 0..10"):
+            correlations(start, stop)
 
     @pytest.mark.parametrize(
-        "nbits, n, lanes",
+        "nbits, n, gmp",
         [
-            # self mode computes shifts 1..n-1: 64 of them from n = 65 on
-            (2**20, 65, True),
-            (2**20, 64, False),
-            (2**20 - 1, 65, False),
-            (2**20 + 1, 65, True),
+            # self mode computes shifts 1..n-1: 12 of them from n = 13 on
+            (2**18, 13, True),
+            (2**18, 12, False),
+            (2**18 - 1, 13, False),
+            (2**18 + 1, 13, True),
         ],
     )
-    def test_dispatch_switch(self, nbits, n, lanes):
+    def test_dispatch_switch(self, nbits, n, gmp):
         b = random_bitstring(nbits, 0.5, 14)
-        assert ensemble._LANE_SHIFTS == 64 and ensemble._LANE_BITS == 2**20
+        assert ensemble._GMP_SHIFTS == 12 and ensemble._GMP_BITS == 2**18
         with mock.patch.object(
-            ensemble, "_lane_kernel", wraps=ensemble._lane_kernel
+            GMP, "shift_kernel", wraps=GMP.shift_kernel
         ) as kernel, mock.patch.object(
             ensemble, "_shift_correlations", wraps=ensemble._shift_correlations
         ) as loop:
             vals = build_self_ensemble(b, n).values
-        assert kernel.called == lanes
-        # the lane kernel has the loop recompute the ends of its one range
-        assert shifts_of(loop) == ([1, n - 1] if lanes else list(range(1, n)))
+        assert kernel.called == gmp
+        # GMP's kernel has the loop recompute the ends of its one range
+        assert shifts_of(loop) == ([1, n - 1] if gmp else list(range(1, n)))
         assert vals == tuple(shift_xor_distance(b, k) for k in range(n))
 
     @pytest.mark.parametrize("kernel", ["lanes", "split lanes"])
-    def test_corrupted_range_fails_its_spot_check(self, kernel):
+    def test_moved_hamdist_fails_its_spot_check(self, kernel):
         # self mode: shifts 1..60 in three ranges under the split, one
         # range otherwise; this process runs the first from shift 1
         b = random_bitstring(301, 0.5, 3)
-        with forced(kernel), in_range_corrupted(1):
+        with forced(kernel), hamdist_moved(1):
             with pytest.raises(ExactnessCheckFailed, match=r"shift 1 is \d+, but"):
                 build_self_ensemble(b, 61)
         assert_no_children()
 
-    def test_corrupted_child_range_fails_its_spot_check(self):
+    def test_moved_hamdist_in_a_child_fails_its_spot_check(self):
         b = random_bitstring(301, 0.5, 3)
-        with forced("split lanes"), in_range_corrupted(21):
-            # the child's spot check names the shift and both distances
+        with forced("split lanes"), hamdist_moved(21, parent=os.getpid()):
+            # the child's spot check names the shift and both correlations
             with pytest.raises(
                 ExactnessCheckFailed,
                 match=r"shifts 21\.\.40 exited with status 1: "
@@ -1720,14 +1735,45 @@ class TestLaneKernel:
                 build_self_ensemble(b, 61)
         assert_no_children()
 
-    def test_split_lanes_share_one_transpose(self):
+    def test_split_gmp_loop_lays_out_limbs_once(self):
         b = random_bitstring(301, 0.5, 3)
         with forced("split lanes"), mock.patch.object(
-            ensemble, "_lanes", wraps=ensemble._lanes
-        ) as lanes, mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            _gmp, "_extension", wraps=_gmp._extension
+        ) as extension, mock.patch.object(os, "fork", wraps=os.fork) as fork:
             vals = build_self_ensemble(b, 61).values
         assert fork.call_count == SPLIT_CPUS - 1
-        # one string in self mode: b's extension alone is transposed
-        assert lanes.call_count == 1
+        # one string in self mode: b's one plane alone is laid out
+        assert extension.call_count == 1
         assert vals == tuple(shift_xor_distance(b, k) for k in range(61))
         assert_no_children()
+
+    @pytest.mark.parametrize("limb_bits, byteorder", [(32, "little"), (64, "big")])
+    def test_other_limbs_take_the_python_loop(self, limb_bits, byteorder, monkeypatch):
+        # the kernel reads limbs as little-endian 64-bit words: any other
+        # GMP keeps its product, and the loop shifts Python ints
+        monkeypatch.setattr(_gmp, "_limb_bits", lambda lib: limb_bits)
+        monkeypatch.setattr(sys, "byteorder", byteorder)
+        loaded = _gmp.load()
+        monkeypatch.undo()
+        assert loaded.shift_kernel is None
+        assert loaded.correlations.func is _gmp.correlations
+        b = random_bitstring(301, 0.5, 3)
+        with forced("lanes"), mock.patch.object(
+            ensemble, "_load_gmp", return_value=loaded
+        ), mock.patch.object(
+            ensemble, "_shift_correlations", wraps=ensemble._shift_correlations
+        ) as loop:
+            vals = build_self_ensemble(b, 61).values
+        assert shifts_of(loop) == list(range(1, 61))
+        assert vals == tuple(shift_xor_distance(b, k) for k in range(61))
+
+    def test_no_libgmp_takes_the_python_loop(self):
+        b = random_bitstring(2**18, 0.5, 14)
+        with mock.patch.object(
+            ensemble, "_load_gmp", return_value=None
+        ), mock.patch.object(
+            ensemble, "_shift_correlations", wraps=ensemble._shift_correlations
+        ) as loop:
+            vals = build_self_ensemble(b, 13).values
+        assert shifts_of(loop) == list(range(1, 13))
+        assert vals == tuple(shift_xor_distance(b, k) for k in range(13))
