@@ -7,12 +7,8 @@ extensions of two source strings with one of them rotated (pair mode).
 
 from __future__ import annotations
 
-import mmap
 import os
-import signal
 import sys
-import threading
-from array import array
 from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -46,12 +42,14 @@ _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 # slots of a pair
 _PRODUCT_SHIFTS = 50
 
-# the shift loop is split across CPUs from this much work (shifts times
-# period times both plane counts) on: with a second CPU free, two forked
-# workers took 1.06-1.07 times the serial self loop at 2**26, 0.75-0.82 at
-# 2**27 and 0.65-0.69 at 2**28 (L = 2**16..2**23; a fork costs about 2 ms at
-# 24 MiB resident; same machine); 1.1-1.4 while the host ran both on one CPU
-_FORK_BITS = 1 << 27
+# GMP's shift kernel is split across threads from this much work (shifts
+# times period times both plane counts) on.  The value was measured for
+# forked workers of the plain loop: with a second CPU free, two took
+# 1.06-1.07 times the serial self loop at 2**26, 0.75-0.82 at 2**27 and
+# 0.65-0.69 at 2**28 (L = 2**16..2**23, same machine); 1.1-1.4 while the
+# host ran both on one CPU.  The plain loop, which holds the GIL, never
+# splits
+_SPLIT_BITS = 1 << 27
 
 # GMP's shift kernel serves shift loops of at least this many shifts on a
 # period of at least this many bits; _gmp_loop gives the measurements
@@ -61,9 +59,6 @@ _GMP_BITS = 1 << 18
 # a product build is spot-checked at this many shifts spread evenly over
 # its distinct block, at the block's last shift and at shifts 1 and g - 1
 _SPOT_SHIFTS = 8
-
-# bytes of a failed worker's error text kept after the shared correlations
-_NOTE_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -173,11 +168,20 @@ def _build(
         # observation 0 of a self ensemble is the self-match, C(0) = ones
         first = 1 if mode == SELF_MODE else 0
         gmp_loop = _gmp_loop(shifts - first, period)
-        if gmp_loop:
-            kernel = _checked(gmp_loop(*operands, shifts - 1), operands)
+        if shifts == first:
+            vals = []
+        elif gmp_loop:
+            workers = min(shifts - first, _cpus(work))
+            vals = gmp_loop(*operands, shifts - 1)(first, shifts, workers)
+            # worker k's first shift is first + k
+            _spot_check(
+                lambda n: vals[n - first],
+                operands,
+                {*range(first, first + workers), shifts - 1},
+            )
         else:
-            kernel = partial(_shift_correlations, *operands)
-        block = (a.ones,) * first + _loop_correlations(kernel, first, shifts, work)
+            vals = _shift_correlations(*operands, first, shifts)
+        block = (a.ones,) * first + tuple(vals)
     # the loop computes observed shifts only; the product's whole block,
     # observed or not, is checked
     counts, total, distances = _counts(
@@ -270,17 +274,17 @@ def _gmp_loop(shifts: int, period: int) -> Callable[..., Callable] | None:
     ``_shift_correlations`` and loads, else None.
 
     The kernel pays about 2.5 ms a MB up front to lay b's planes into
-    limbs (``int.to_bytes``), the time of two loop shifts for each range's
-    spot check, and a few us of interpreter work a shift on any period;
-    it then shifts in about a third of the loop's time (0.31 against
-    0.9-1.6 ms at 2**23 bits).  Loop time over kernel time, spot check
-    and limbs included (one-plane random self strings, one process, best
-    of 5, range of 4 sweeps; CPython 3.11, GMP 6.2.1, 2-core Intel Xeon
-    VM): with 12 shifts 0.59-0.61 at 2**15 bits, 0.75-0.78 at 2**16,
-    0.90-1.56 at 2**17, 1.00-1.05 at 2**18, 1.01-1.12 at 2**20 and
-    1.00-1.39 at 2**23; with 10 shifts 0.88-1.41 from 2**18 on; with 16
-    shifts 0.85-0.91 at 2**16 and 1.04-1.06 at 2**17; with 32 shifts
-    1.06-1.09 at 2**16.
+    limbs (``int.to_bytes``), the time of one loop shift for the spot
+    check at each worker's first shift and one for the last shift, and a
+    few us of interpreter work a shift on any period; it then shifts in
+    about a third of the loop's time (0.31 against 0.9-1.6 ms at 2**23
+    bits).  Loop time over kernel time, spot check and limbs included
+    (one-plane random self strings, one worker, best of 5, range of 4
+    sweeps; CPython 3.11, GMP 6.2.1, 2-core Intel Xeon VM): with 12
+    shifts 0.59-0.61 at 2**15 bits, 0.75-0.78 at 2**16, 0.90-1.56 at
+    2**17, 1.00-1.05 at 2**18, 1.01-1.12 at 2**20 and 1.00-1.39 at 2**23;
+    with 10 shifts 0.88-1.41 from 2**18 on; with 16 shifts 0.85-0.91 at
+    2**16 and 1.04-1.06 at 2**17; with 32 shifts 1.06-1.09 at 2**16.
     """
     if shifts < _GMP_SHIFTS or period < _GMP_BITS:
         return None
@@ -288,101 +292,11 @@ def _gmp_loop(shifts: int, period: int) -> Callable[..., Callable] | None:
     return gmp and gmp.shift_kernel
 
 
-def _checked(
-    correlations: Callable[[int, int], list[int]], operands: tuple
-) -> Callable[[int, int], list[int]]:
-    """``correlations(start, stop)`` with each range's first and last
-    shift checked by ``_spot_check`` on ``operands``."""
-
-    def checked(start: int, stop: int) -> list[int]:
-        vals = correlations(start, stop)
-        _spot_check(lambda n: vals[n - start], operands, {start, stop - 1})
-        return vals
-
-    return checked
-
-
-def _loop_correlations(
-    correlations: Callable[[int, int], list[int]],
-    first: int,
-    n_shifts: int,
-    work: int,
-) -> tuple[int, ...]:
-    """Correlations C(first..n_shifts-1), from ``correlations(start,
-    stop)`` over one contiguous range per CPU that ``_cpus`` grants
-    ``work``.
-
-    This process computes the first range, one forked child each of the
-    others, all from the operands ``correlations`` holds, built once
-    before the fork; each writes its correlations into its own int64
-    cells of one shared map, which a result of the wrong length makes
-    raise.  A child exits with status 0 only after its write, by
-    ``os._exit``, so it never returns into the caller's stack or flushes
-    inherited stdio buffers; one that raises leaves the error's text in
-    its note after the cells.  Every child is reaped before this returns
-    or raises.
-    """
-    count = n_shifts - first
-    if count == 0:
-        return ()
-    workers = min(count, _cpus(work))
-    bounds = [first + count * i // workers for i in range(workers + 1)]
-    notes = 8 * count  # the children's notes follow the cells
-    with (
-        mmap.mmap(-1, notes + _NOTE_BYTES * (workers - 1)) as shared,
-        memoryview(shared)[:notes].cast("q") as cells,
-    ):
-
-        def fill(start: int, stop: int) -> None:
-            cells[start - first : stop - first] = array("q", correlations(start, stop))
-
-        children = []
-        try:
-            for i, (start, stop) in enumerate(zip(bounds[1:], bounds[2:])):
-                note = notes + _NOTE_BYTES * i
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        fill(start, stop)
-                        os._exit(0)
-                    except Exception as error:
-                        text = f": {error}".encode()[:_NOTE_BYTES]
-                        shared[note : note + len(text)] = text
-                    finally:
-                        os._exit(1)
-                children.append((pid, start, stop, note))
-            fill(first, bounds[1])
-            while children:
-                pid, start, stop, note = children.pop(0)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code != 0:
-                    text = shared[note : note + _NOTE_BYTES].rstrip(b"\0")
-                    raise ExactnessCheckFailed(
-                        f"the worker for shifts {start}..{stop - 1} exited "
-                        f"with status {code}{text.decode(errors='replace')}"
-                    )
-            return tuple(cells)
-        finally:
-            for pid, *_ in children:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                os.waitpid(pid, 0)
-
-
 def _cpus(work: int) -> int:
-    """CPUs to split a loop of ``work`` (shifts times period times both
-    plane counts) across: every CPU this process may use from
-    ``_FORK_BITS`` on, on platforms with ``fork``, and only while no
-    other thread runs (a forked child would inherit locks held by threads
-    absent from it)."""
-    if (
-        work < _FORK_BITS
-        or not hasattr(os, "fork")
-        or not hasattr(os, "sched_getaffinity")
-        or threading.active_count() != 1
-    ):
+    """CPUs to split GMP's shift kernel of ``work`` (shifts times period
+    times both plane counts) across: every CPU this process may use from
+    ``_SPLIT_BITS`` on."""
+    if work < _SPLIT_BITS or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 

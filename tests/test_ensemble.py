@@ -1,11 +1,10 @@
 import contextlib
+import itertools
 import os
 import random
-import signal
 import subprocess
 import sys
 import threading
-import time
 from array import array
 from collections import Counter
 from math import gcd, lcm
@@ -329,19 +328,20 @@ def bit_strings(length):
     return st.text(alphabet="01", min_size=length, max_size=length)
 
 
-# settings that force one kernel for every ensemble size; the split loops
-# get three CPUs on any host, so short ensembles leave some idle.  "lanes"
-# and "split lanes" force GMP's shift kernel, where libgmp loads: the ids
-# keep the name of the lane kernel that it replaced, so that every
-# parametrized test keeps its id
+# settings that force one kernel for every ensemble size.  The ids keep
+# the names of kernels since replaced, so that every parametrized test
+# keeps its id: "lanes" and "split lanes" force GMP's shift kernel, where
+# libgmp loads, serial and split over three threads on any host (short
+# ensembles leave some idle); "split" forces the plain loop with the split
+# threshold met, which the plain loop ignores: it always runs serially
 LOOP = {"_PRODUCT_SHIFTS": 10**9, "_GMP_SHIFTS": 10**9}
 GMP_LOOP = {"_PRODUCT_SHIFTS": 10**9, "_GMP_SHIFTS": 0, "_GMP_BITS": 0}
 KERNEL_SETTINGS = {
     "product": {"_PRODUCT_SHIFTS": 0},
     "loop": LOOP,
-    "split": {**LOOP, "_FORK_BITS": 0},
+    "split": {**LOOP, "_SPLIT_BITS": 0},
     "lanes": GMP_LOOP,
-    "split lanes": {**GMP_LOOP, "_FORK_BITS": 0},
+    "split lanes": {**GMP_LOOP, "_SPLIT_BITS": 0},
 }
 KERNELS = pytest.mark.parametrize("kernel", list(KERNEL_SETTINGS))
 SPLIT_CPUS = 3
@@ -1360,25 +1360,65 @@ class TestEngines:
             gmp.correlations([255, 255], [255, 255], 8, 8, 1)
 
 
-def in_children(corrupt):
-    """Patch the shift loop so that it returns ``corrupt(values)`` in
-    forked children and the true values in this process."""
-    parent = os.getpid()
-    loop = ensemble._shift_correlations
-
-    def shift_correlations(*args):
-        vals = loop(*args)
-        return vals if os.getpid() == parent else corrupt(vals)
-
-    return mock.patch.object(ensemble, "_shift_correlations", shift_correlations)
+GMP = ensemble._load_gmp()
+needs_gmp_loop = pytest.mark.skipif(
+    GMP is None or GMP.shift_kernel is None,
+    reason="no libgmp with 64-bit little-endian limbs",
+)
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@contextlib.contextmanager
+def worker_hamdist(changes):
+    """Patch GMP's shift kernel so that each ``mpn_hamdist`` that worker k
+    makes returns ``changes[k](distance, call)``, ``call`` counting that
+    worker's calls from 0.  Worker 0 is the thread that calls the kernel,
+    worker k the k-th thread it starts.  Every other worker, and the shift
+    loop, stay true; yields the workers of the last call."""
+    gmp = GMP.shift_kernel.args[0]
+    workers = []
+    calls = {k: itertools.count() for k in changes}
+    real_thread = threading.Thread
+
+    def thread(*args, **kwargs):
+        started = real_thread(*args, **kwargs)
+        workers.append(started)
+        return started
+
+    def hamdist(*args):
+        distance = gmp.hamdist(*args)
+        for k, change in changes.items():
+            if k < len(workers) and threading.current_thread() is workers[k]:
+                return change(distance, next(calls[k]))
+        return distance
+
+    def shift_kernel(*args):
+        changed = SimpleNamespace(**{**vars(gmp), "hamdist": hamdist})
+        correlations = _gmp.shift_kernel(changed, *args)
+
+        def called(*shifts):
+            workers[:] = [threading.current_thread()]
+            return correlations(*shifts)
+
+        return called
+
+    with mock.patch.object(GMP, "shift_kernel", shift_kernel), mock.patch.object(
+        _gmp.threading, "Thread", thread
+    ):
+        yield workers
+
+
+def moved_first(distance, call):
+    """A worker's first distance 2 higher, which moves its first
+    correlation down by 1."""
+    return distance + 2 * (call == 0)
+
+
+def spy_threads():
+    return mock.patch.object(_gmp.threading, "Thread", wraps=threading.Thread)
 
 
 class TestSplitLoop:
+    @needs_gmp_loop
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(1, 60).flatmap(bit_strings),
@@ -1398,156 +1438,113 @@ class TestSplitLoop:
             count = min(n, gcd(len(a), len(b)))
         with forced("loop"):
             serial = build(*args).values
-        with forced("split"), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        with forced("split lanes"), spy_threads() as threads:
             split = build(*args).values
-        # this process takes the first range, a child each other one
-        assert fork.call_count == max(min(count, SPLIT_CPUS) - 1, 0)
+        # the calling thread is worker 0, a started thread each other one
+        assert threads.call_count == max(min(count, SPLIT_CPUS) - 1, 0)
         assert split == serial
         assert list(split) == naive_distances(a, a if b is None else b, range(n))
         if b is None:
             a_bits = from_bits(a)
             assert split == tuple(shift_xor_distance(a_bits, k) for k in range(n))
-        assert_no_children()
 
+    @needs_gmp_loop
     def test_full_split_fills_many_pages(self):
-        # each child writes about 80 KB of int64 distances, many pages of
-        # the shared map, while the parent computes its own range; a pair
-        # of equal lengths has no mirror and no shorter period, so all
-        # 30011 shifts are computed
+        # the workers write 30011 correlations, many pages of one shared
+        # list, each shift's from its own thread; a pair of equal lengths
+        # has no mirror and no shorter period, so all 30011 are computed
         a = random_bitstring(30011, 0.5, 12)
         b = random_bitstring(30011, 0.5, 13)
-        with forced("split"):
+        with forced("split lanes"):
             vals = build_pair_ensemble(a, b).values
         with forced("product"):
             assert vals == build_pair_ensemble(a, b).values
         assert sum(vals) == full_sum(a.nbits, a.ones, b.ones)
-        assert_no_children()
 
+    @needs_gmp_loop
     def test_failed_child_raises_and_is_reaped(self):
-        def fail(vals):
-            raise RuntimeError("worker fault")
+        # worker 1's own error reaches the caller, after every worker is
+        # joined
+        error = RuntimeError("worker fault")
+
+        def fail(distance, call):
+            raise error
 
         b = random_bitstring(301, 0.5, 3)
-        with forced("split"), in_children(fail):
-            # ranges 1..20, 21..40 and 41..60: the first child fails first,
-            # and its error's text reaches this process through the map
-            with pytest.raises(
-                ExactnessCheckFailed,
-                match=r"shifts 21\.\.40 exited with status 1: worker fault$",
-            ):
+        threads = threading.active_count()
+        with forced("split lanes"), worker_hamdist({1: fail}) as workers:
+            with pytest.raises(RuntimeError) as raised:
                 build_self_ensemble(b, 61)
-        assert_no_children()
+        assert raised.value is error and str(raised.value) == "worker fault"
+        assert len(workers) == SPLIT_CPUS
+        assert threading.active_count() == threads
 
-    def test_long_child_error_is_cut_to_its_note(self):
-        def fail(vals):
-            raise RuntimeError("x" * 1000)
-
+    @needs_gmp_loop
+    def test_every_thread_is_joined(self):
         b = random_bitstring(301, 0.5, 3)
-        with forced("split"), in_children(fail):
-            with pytest.raises(ExactnessCheckFailed) as raised:
+        threads = threading.active_count()
+        with forced("split lanes"), spy_threads() as spy:
+            vals = build_self_ensemble(b, 61).values
+        assert spy.call_count == SPLIT_CPUS - 1
+        assert threading.active_count() == threads
+        assert vals == tuple(shift_xor_distance(b, k) for k in range(61))
+
+        # workers 1 and 2 both fail: the first worker's error is raised
+        def fail(distance, call):
+            raise RuntimeError(f"worker {workers.index(threading.current_thread())}")
+
+        with forced("split lanes"), worker_hamdist({1: fail, 2: fail}) as workers:
+            with pytest.raises(RuntimeError, match="^worker 1$"):
                 build_self_ensemble(b, 61)
-        note = ": " + "x" * (ensemble._NOTE_BYTES - 2)
-        assert str(raised.value) == (
-            "the worker for shifts 21..40 exited with status 1" + note
-        )
-        assert_no_children()
+        assert threading.active_count() == threads
 
-    def test_child_exit_status_is_checked(self):
-        # every distance is written, but the child then exits non-zero
-        real_exit = os._exit
-        parent = os.getpid()
-
-        def exit_three(status):
-            real_exit(3 if os.getpid() != parent else status)
-
-        b = random_bitstring(301, 0.5, 3)
-        with forced("split"), mock.patch.object(os, "_exit", exit_three):
-            with pytest.raises(ExactnessCheckFailed, match="status 3"):
-                build_self_ensemble(b, 61)
-        assert_no_children()
-
-    def test_busy_children_are_killed_on_failure(self):
-        # the first child fails at once; the second would run for a minute
-        parent = os.getpid()
-        loop = ensemble._shift_correlations
-
-        def shift_correlations(planes_a, planes_b, period, start, stop):
-            if os.getpid() != parent:
-                if start == 21:
-                    raise RuntimeError("worker fault")
-                time.sleep(60)
-            return loop(planes_a, planes_b, period, start, stop)
-
-        b = random_bitstring(301, 0.5, 3)
-        began = time.monotonic()
-        with forced("split"), mock.patch.object(
-            ensemble, "_shift_correlations", shift_correlations
-        ):
-            with pytest.raises(ExactnessCheckFailed, match=r"shifts 21\.\.40"):
-                build_self_ensemble(b, 61)
-        assert time.monotonic() - began < 30
-        assert_no_children()
-
-    def test_short_child_result_raises(self):
-        # a short result fails the child's write into its cells
-        b = random_bitstring(301, 0.5, 3)
-        with forced("split"), in_children(lambda vals: vals[:-1]):
-            with pytest.raises(
-                ExactnessCheckFailed, match=r"shifts 21\.\.40 exited with status 1"
-            ):
-                build_self_ensemble(b, 61)
-        assert_no_children()
-
-    def test_child_killed_by_a_signal_raises(self):
-        # the second child kills itself partway through its range
-        parent = os.getpid()
-        loop = ensemble._shift_correlations
-
-        def shift_correlations(planes_a, planes_b, period, start, stop):
-            if os.getpid() != parent and start == 41:
-                loop(planes_a, planes_b, period, start, start + 10)
-                os.kill(os.getpid(), signal.SIGKILL)
-            return loop(planes_a, planes_b, period, start, stop)
-
-        b = random_bitstring(301, 0.5, 3)
-        with forced("split"), mock.patch.object(
-            ensemble, "_shift_correlations", shift_correlations
-        ):
-            # a killed child leaves no note
-            with pytest.raises(
-                ExactnessCheckFailed, match=r"shifts 41\.\.60 exited with status -9$"
-            ):
-                build_self_ensemble(b, 61)
-        assert_no_children()
-
+    @needs_gmp_loop
     def test_child_out_of_range_exits_two(self, tmp_path, capsys):
         path = tmp_path / "r.bin"
         path.write_bytes(random.Random(2).randbytes(64))
-        # correlations of -2 decode to distances above every bound
-        with forced("split"), in_children(lambda vals: [-2] * len(vals)):
+
+        # shifts 1..39, one residue each: worker 1 computes shifts 2, 5,
+        # .., 38, the first of them true and so past its spot check; the
+        # others' correlations decode to distances above every bound
+        def far(distance, call):
+            return distance + 10**6 * (call > 0)
+
+        with forced("split lanes"), worker_hamdist({1: far}):
             rc = main(["analyze", str(path), "--ensemble", "40", "--format", "json"])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exactness check" in captured.err and "outside" in captured.err
-        assert_no_children()
 
+    @needs_gmp_loop
     def test_no_fork_while_another_thread_runs(self):
+        # the build still splits, over threads
         b = random_bitstring(301, 0.5, 5)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(10,))
         other.start()
         try:
-            with forced("split"), mock.patch.object(
+            with forced("split lanes"), spy_threads() as threads, mock.patch.object(
                 os, "fork", side_effect=AssertionError("forked")
-            ) as fork:
+            ):
                 vals = build_self_ensemble(b, 100).values
         finally:
             release.set()
             other.join(10)
         assert not other.is_alive()
-        assert not fork.called
+        assert threads.call_count == SPLIT_CPUS - 1
         assert vals == tuple(shift_xor_distance(b, n) for n in range(100))
+
+    @pytest.mark.parametrize("kernel", list(KERNEL_SETTINGS))
+    def test_no_build_forks(self, kernel):
+        a, b = random_bitstring(301, 0.5, 5), random_bitstring(602, 0.5, 6)
+        with forced(kernel), mock.patch.object(
+            os, "fork", side_effect=AssertionError("forked")
+        ):
+            vals = build_self_ensemble(a, 100).values
+            pair = build_pair_ensemble(a, b, 400).values
+        assert vals == tuple(shift_xor_distance(a, n) for n in range(100))
+        assert list(pair) == naive_distances(a.to_bits(), b.to_bits(), range(400))
 
     @pytest.mark.parametrize("n", [1, 2, 37])
     @pytest.mark.parametrize("bits", ["0" * 37, "1" * 37, "0110" * 9 + "1"])
@@ -1628,38 +1625,6 @@ def operands_at(period, last, same):
 # planes allow
 DENSE_PLANES = (([2**200 - 1] * 4, [2**200 - 1] * 4, 200), 200, 0, 201)
 
-GMP = ensemble._load_gmp()
-needs_gmp_loop = pytest.mark.skipif(
-    GMP is None or GMP.shift_kernel is None,
-    reason="no libgmp with 64-bit little-endian limbs",
-)
-
-
-def hamdist_moved(where, parent=None):
-    """Patch GMP's shift kernel so that the first ``mpn_hamdist`` of the
-    range starting at ``where`` comes out 2 higher, which moves its first
-    correlation down by 1; only in forked children if ``parent`` is this
-    process's id.  Every other range, and the shift loop, stay true."""
-    gmp = GMP.shift_kernel.args[0]
-    range_start = {}
-
-    def hamdist(*args):
-        moved = range_start.pop("first call", None) == where
-        return gmp.hamdist(*args) + 2 * (moved and os.getpid() != parent)
-
-    def shift_kernel(*args):
-        moved = SimpleNamespace(**{**vars(gmp), "hamdist": hamdist})
-        correlations = _gmp.shift_kernel(moved, *args)
-
-        def ranged(start, stop):
-            range_start["first call"] = start
-            return correlations(start, stop)
-
-        return ranged
-
-    return mock.patch.object(GMP, "shift_kernel", shift_kernel)
-
-
 @needs_gmp_loop
 class TestGmpLoop:
     @settings(max_examples=300, deadline=None)
@@ -1677,9 +1642,24 @@ class TestGmpLoop:
     def test_gmp_loop_matches_the_loop(self, drawn):
         operands, last, start, stop = drawn
         correlations = GMP.shift_kernel(*operands, last)
-        assert correlations(start, stop) == ensemble._shift_correlations(
-            *operands, start, stop
-        )
+        expected = ensemble._shift_correlations(*operands, start, stop)
+        # serial, and the residues dealt to three threads
+        assert correlations(start, stop, 1) == expected
+        assert correlations(start, stop, 3) == expected
+
+    def test_many_threads_share_one_list(self):
+        # more workers than cores, switching as often as the interpreter
+        # allows: each writes only its own residues' shifts
+        operands, last, start, stop = operands_at(1000, 700, same=False)
+        correlations = GMP.shift_kernel(*operands, last)
+        expected = ensemble._shift_correlations(*operands, start, stop)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (8, 64, 100):
+                assert correlations(start, stop, workers) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("start, stop", [(-1, 3), (5, 12), (4, 4)])
     def test_shifts_outside_the_kernel_raise(self, start, stop):
@@ -1687,7 +1667,7 @@ class TestGmpLoop:
         operands, *_ = operands_at(100, 10, same=False)
         correlations = GMP.shift_kernel(*operands, 10)
         with pytest.raises(ValueError, match="not within 0..10"):
-            correlations(start, stop)
+            correlations(start, stop, 2)
 
     @pytest.mark.parametrize(
         "nbits, n, gmp",
@@ -1709,43 +1689,40 @@ class TestGmpLoop:
         ) as loop:
             vals = build_self_ensemble(b, n).values
         assert kernel.called == gmp
-        # GMP's kernel has the loop recompute the ends of its one range
+        # too little work to split: the loop recomputes the first and last
+        # shifts of GMP's one worker
         assert shifts_of(loop) == ([1, n - 1] if gmp else list(range(1, n)))
         assert vals == tuple(shift_xor_distance(b, k) for k in range(n))
 
     @pytest.mark.parametrize("kernel", ["lanes", "split lanes"])
     def test_moved_hamdist_fails_its_spot_check(self, kernel):
-        # self mode: shifts 1..60 in three ranges under the split, one
-        # range otherwise; this process runs the first from shift 1
+        # self mode: shifts 1..60, one residue each; the calling thread,
+        # worker 0, computes shift 1 first
         b = random_bitstring(301, 0.5, 3)
-        with forced(kernel), hamdist_moved(1):
+        with forced(kernel), worker_hamdist({0: moved_first}):
             with pytest.raises(ExactnessCheckFailed, match=r"shift 1 is \d+, but"):
                 build_self_ensemble(b, 61)
-        assert_no_children()
 
     def test_moved_hamdist_in_a_child_fails_its_spot_check(self):
+        # worker 1, the first thread started, computes shift 2 first
         b = random_bitstring(301, 0.5, 3)
-        with forced("split lanes"), hamdist_moved(21, parent=os.getpid()):
-            # the child's spot check names the shift and both correlations
+        with forced("split lanes"), worker_hamdist({1: moved_first}):
             with pytest.raises(
                 ExactnessCheckFailed,
-                match=r"shifts 21\.\.40 exited with status 1: "
-                r"correlation at shift 21 is \d+, but the shift loop gives \d+$",
+                match=r"^correlation at shift 2 is \d+, but the shift loop gives \d+$",
             ):
                 build_self_ensemble(b, 61)
-        assert_no_children()
 
     def test_split_gmp_loop_lays_out_limbs_once(self):
         b = random_bitstring(301, 0.5, 3)
         with forced("split lanes"), mock.patch.object(
             _gmp, "_extension", wraps=_gmp._extension
-        ) as extension, mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        ) as extension, spy_threads() as threads:
             vals = build_self_ensemble(b, 61).values
-        assert fork.call_count == SPLIT_CPUS - 1
+        assert threads.call_count == SPLIT_CPUS - 1
         # one string in self mode: b's one plane alone is laid out
         assert extension.call_count == 1
         assert vals == tuple(shift_xor_distance(b, k) for k in range(61))
-        assert_no_children()
 
     @pytest.mark.parametrize("limb_bits, byteorder", [(32, "little"), (64, "big")])
     def test_other_limbs_take_the_python_loop(self, limb_bits, byteorder, monkeypatch):
