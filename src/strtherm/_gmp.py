@@ -1,7 +1,20 @@
 """Exact kernels on the system GMP (libgmp), called through ``ctypes``:
-the cyclic correlations of a full ensemble from one product (``mpz_mul``),
-and the shift loop of a many-shift partial ensemble (``mpn_rshift`` and
+the cyclic correlations of a full ensemble from one product, and the
+shift loop of a many-shift partial ensemble (``mpn_rshift`` and
 ``mpn_hamdist``), which threads of this process can share.
+
+The correlations are the cyclic product a*b modulo 2**(s*g) - 1 of two
+operands of g slots of s bits, g the period.  ``mpn_mulmod_bnm1``
+computes a*b modulo B**rn - 1, B = 2**64, directly (``_cyclic``) where
+four conditions hold: 64 divides s*g = 64*rn, GMP's transform takes rn
+limbs unpadded (``mpn_mulmod_bnm1_next_size(rn) == rn``), both operands
+are nonzero, and their limb counts an and bn have an + bn > rn.  It
+returns residue class 0 as B**rn - 1, the value the fold gives, and
+needs a scratch of at most 2*rn + 4 limbs.  Elsewhere ``mpz_mul``
+computes the whole product and its high half is folded onto the low.
+``mpn_mulmod_bnm1`` is internal to GMP (``gmp-impl.h``), so it is bound
+only where the library exports it and calls itself version 6, whose
+scratch size is known; any other libgmp multiplies with ``mpz_mul``.
 
 ``ensemble`` imports this module on the first build that needs either, so
 that importing the command line loads neither ``ctypes`` nor libgmp.
@@ -20,6 +33,7 @@ from collections.abc import Callable
 from ctypes import (
     POINTER,
     Structure,
+    c_char_p,
     c_int,
     c_long,
     c_size_t,
@@ -72,6 +86,17 @@ _MPN_FUNCTIONS = {
     "hamdist": (c_ulong, [c_void_p, c_void_p, c_long]),
 }
 
+# the cyclic product's functions, which a library may lack: the first two
+# named without "__gmpn_", mpz_roinit_n (GMP 6 on) without "__gmpz_"
+_CYCLIC_MPN_FUNCTIONS = {
+    "mulmod_bnm1": (
+        None,
+        [c_void_p, c_long, c_void_p, c_long, c_void_p, c_long, c_void_p],
+    ),
+    "mulmod_bnm1_next_size": (c_long, [c_long]),
+}
+_CYCLIC_FUNCTIONS = {"roinit_n": (_MPZ, [_MPZ, c_void_p, c_long])}
+
 # the digits of a plane's binary text to the words' bytes 0 and 1
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -79,7 +104,12 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def load() -> SimpleNamespace | None:
     """The kernels bound to the first libgmp that loads with every
     function they need, or None: ``correlations``, and ``shift_kernel``
-    where GMP's limbs are little-endian 64-bit words (else None)."""
+    where GMP's limbs are little-endian 64-bit words (else None).
+
+    Bound to ``correlations``, ``gmp.cyclic`` holds the cyclic product's
+    three functions where GMP's limbs are 64-bit words, the library
+    exports them and its ``__gmp_version`` starts with "6."; else it is
+    None, and ``correlations`` multiplies with ``mpz_mul``."""
     for name in _SONAMES:
         try:
             lib = ctypes.CDLL(name)
@@ -87,14 +117,12 @@ def load() -> SimpleNamespace | None:
             continue
         gmp = SimpleNamespace()
         try:
-            for prefix, table in (("__gmpz_", _FUNCTIONS), ("__gmpn_", _MPN_FUNCTIONS)):
-                for short, (restype, argtypes) in table.items():
-                    function = getattr(lib, prefix + short.rstrip("_"))
-                    function.restype, function.argtypes = restype, argtypes
-                    setattr(gmp, short, function)
+            _bind(gmp, lib, ("__gmpz_", _FUNCTIONS), ("__gmpn_", _MPN_FUNCTIONS))
         except AttributeError:
             continue
-        limbs_fit = _limb_bits(lib) == 64 and sys.byteorder == "little"
+        limbs = _limb_bits(lib)
+        limbs_fit = limbs == 64 and sys.byteorder == "little"
+        gmp.cyclic = _cyclic_functions(lib) if limbs == 64 else None
         return SimpleNamespace(
             correlations=partial(correlations, gmp),
             shift_kernel=partial(shift_kernel, gmp) if limbs_fit else None,
@@ -102,9 +130,43 @@ def load() -> SimpleNamespace | None:
     return None
 
 
+def _bind(
+    gmp: SimpleNamespace, lib: ctypes.CDLL, *tables: tuple[str, dict]
+) -> None:
+    """Set each function of the ``(prefix, table)`` pairs ``tables`` on
+    ``gmp`` by its short name, typed; AttributeError where ``lib`` lacks
+    one."""
+    for prefix, table in tables:
+        for short, (restype, argtypes) in table.items():
+            function = getattr(lib, prefix + short.rstrip("_"))
+            function.restype, function.argtypes = restype, argtypes
+            setattr(gmp, short, function)
+
+
+def _cyclic_functions(lib: ctypes.CDLL) -> SimpleNamespace | None:
+    """The cyclic product's functions in ``lib``, or None where it lacks
+    one or is not GMP 6."""
+    cyclic = SimpleNamespace()
+    try:
+        _bind(
+            cyclic,
+            lib,
+            ("__gmpn_", _CYCLIC_MPN_FUNCTIONS),
+            ("__gmpz_", _CYCLIC_FUNCTIONS),
+        )
+    except AttributeError:
+        return None
+    return cyclic if _version(lib).startswith("6.") else None
+
+
 def _limb_bits(lib: ctypes.CDLL) -> int:
     """The bits of one of ``lib``'s limbs, its ``__gmp_bits_per_limb``."""
     return c_int.in_dll(lib, "__gmp_bits_per_limb").value
+
+
+def _version(lib: ctypes.CDLL) -> str:
+    """``lib``'s version, its ``__gmp_version``, such as "6.2.1"."""
+    return c_char_p.in_dll(lib, "__gmp_version").value.decode()
 
 
 def correlations(
@@ -120,8 +182,12 @@ def correlations(
 
     The slots are the binary twin of ``ensemble._decimal_correlations``'
     digit slots: s bits wide, s the bit length of ``bound`` (at least 1),
-    which no correlation exceeds, so the folded product's slot
-    ``period - 1 - n`` holds C(n) with nothing carried between slots.
+    which no correlation exceeds, so the product modulo 2**(s*period) - 1
+    holds C(n) in slot ``period - 1 - n`` with nothing carried between
+    slots.  ``_cyclic`` computes that residue where it can; elsewhere
+    ``mpz_mul`` computes the whole product and the high half is folded
+    onto the low.  The residue of a nonzero product is never 0: where
+    every C(n) is 2**s - 1 both give 2**(s*period) - 1.
     """
     slot = max(1, bound.bit_length())
     size = 4 if slot <= 32 else 8
@@ -132,15 +198,23 @@ def correlations(
     try:
         # a's slot j holds the count at text position j, b's at position
         # period - 1 - j: a's words go in lowest first, b's highest first
-        _operand(gmp, a, scratch, planes_a, period, size, nails, order=-1)
-        _operand(gmp, b, scratch, planes_b, period, size, nails, order=1)
-        gmp.mul(a, a, b)
-        gmp.tdiv_r_2exp(scratch, a, slot * period)
-        gmp.tdiv_q_2exp(a, a, slot * period)
-        gmp.add(a, a, scratch)
+        # and, in self mode, from the same words
+        if planes_a is planes_b:
+            _operands(gmp, ((a, -1), (b, 1)), scratch, planes_a, period, size, nails)
+        else:
+            _operands(gmp, ((a, -1),), scratch, planes_a, period, size, nails)
+            _operands(gmp, ((b, 1),), scratch, planes_b, period, size, nails)
+        # the cyclic product's limbs stay alive until the export
+        product, limbs = _cyclic(gmp.cyclic, a, b, slot * period)
+        if product is None:
+            gmp.mul(a, a, b)
+            gmp.tdiv_r_2exp(scratch, a, slot * period)
+            gmp.tdiv_q_2exp(a, a, slot * period)
+            gmp.add(a, a, scratch)
+            product = a
         # mpz_export writes every word the value needs: any past the
         # period's cells would land before the buffer
-        words = -(-gmp.sizeinbase(a, 2) // slot)
+        words = -(-gmp.sizeinbase(product, 2) // slot)
         if words > period:
             raise ExactnessCheckFailed(
                 f"the folded product needs {words} slots, more than {period}"
@@ -150,12 +224,49 @@ def correlations(
         cells = bytearray(size * period)
         pointer = _pointer(cells)
         start = ctypes.addressof(pointer) + size * (period - words)
-        gmp.export(start, None, 1, size, 0, nails, a)
+        gmp.export(start, None, 1, size, 0, nails, product)
     finally:
         for z in (a, b, scratch):
             gmp.clear(z)
     # the view keeps the cells alive as long as the ensemble's block is
     return memoryview(cells).cast("I" if size == 4 else "Q")[:count]
+
+
+def _cyclic(
+    cyclic: SimpleNamespace | None, a: _Mpz, b: _Mpz, bits: int
+) -> tuple[_Mpz | None, bytearray | None]:
+    """a*b modulo 2**bits - 1 from one ``mpn_mulmod_bnm1``, as a read-only
+    mpz over the result limbs and those limbs, which must outlive it; or
+    (None, None) where the cyclic product does not serve.
+
+    It serves where ``cyclic`` holds GMP 6's functions (``load``), and
+    where ``bits`` is rn 64-bit limbs, a size that GMP's cyclic transform
+    takes unpadded (``mpn_mulmod_bnm1_next_size(rn) == rn``), and the
+    operands have an and bn limbs with 0 < bn <= an <= rn and
+    an + bn > rn.  GMP takes no operand of 0, which has no limbs, and its
+    recursion assumes an + bn > rn / 2.  For nonzero operands GMP returns
+    residue 0 as 2**bits - 1, which is what the fold gives.  The scratch
+    holds GMP 6's ``mpn_mulmod_bnm1_itch``, at most 2 * rn + 4 limbs,
+    plus a margin.
+    """
+    if cyclic is None or bits % 64:
+        return None, None
+    rn = bits // 64
+    high, low = (a, b) if a.size >= b.size else (b, a)
+    an, bn = high.size, low.size
+    if not 0 < bn <= an <= rn or an + bn <= rn:
+        return None, None
+    if cyclic.mulmod_bnm1_next_size(rn) != rn:
+        return None, None
+    limbs = bytearray(8 * rn)
+    scratch = bytearray(8 * (2 * rn + 4 + 64))
+    cyclic.mulmod_bnm1(
+        _address(limbs), rn, high.limbs, an, low.limbs, bn, _address(scratch)
+    )
+    del scratch
+    product = _Mpz()
+    cyclic.roinit_n(product, _address(limbs), rn)
+    return product, limbs
 
 
 def shift_kernel(
@@ -272,35 +383,43 @@ def _extension(q: int, period: int, reach: int, limbs: int) -> bytearray:
     return data
 
 
-def _operand(
+def _operands(
     gmp: SimpleNamespace,
-    z: _Mpz,
+    targets: tuple[tuple[_Mpz, int], ...],
     scratch: _Mpz,
     planes: list[int],
     period: int,
     size: int,
     nails: int,
-    order: int,
 ) -> None:
-    """Set ``z`` to the integer whose ``period`` slots hold the counts that
-    ``planes`` hold in binary: each plane's bits go in as 0/1 words whose
-    nails leave one slot each, in the reading order of its binary text,
-    the first word lowest (``order`` -1) or highest (1).  Each lower plane
-    is added to twice the planes above it, with carries between slots."""
+    """Set each ``z`` of ``targets``, pairs ``(z, order)``, to the integer
+    whose ``period`` slots hold the counts that ``planes`` hold in binary:
+    each plane's bits are laid out once as 0/1 words whose nails leave
+    one slot each, in the reading order of its binary text, and go into
+    each ``z`` with the first word lowest (``order`` -1) or highest (1).
+    Each lower plane is added to twice the planes above it, with carries
+    between slots."""
     words = bytearray(size * period)
     pointer = _pointer(words)
     for i, plane in enumerate(reversed(planes)):
         words[::size] = format(plane, f"0{period}b").encode().translate(_BITS)
-        gmp.import_(scratch if i else z, period, order, size, -1, nails, pointer)
-        if i:
-            gmp.mul_2exp(z, z, 1)
-            gmp.add(z, z, scratch)
+        for z, order in targets:
+            gmp.import_(scratch if i else z, period, order, size, -1, nails, pointer)
+            if i:
+                gmp.mul_2exp(z, z, 1)
+                gmp.add(z, z, scratch)
 
 
 def _limbs(data: bytearray) -> tuple[int, memoryview]:
     """The address of ``data`` and a view of it as 64-bit limbs, which
     keeps it alive and in place while the view lives."""
-    return ctypes.addressof(_pointer(data)), memoryview(data).cast("Q")
+    return _address(data), memoryview(data).cast("Q")
+
+
+def _address(data: bytearray) -> int:
+    """The address of ``data``'s bytes, valid while ``data`` is neither
+    resized nor freed."""
+    return ctypes.addressof(_pointer(data))
 
 
 def _pointer(buffer: bytearray) -> ctypes.Array:

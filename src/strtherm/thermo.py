@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ensemble import SELF_MODE, Histogram, without_self_match
-from .equilibrium import EquilibriumModel, fit, fit_quality
+from .equilibrium import EquilibriumModel, fit
 from .errors import DegenerateModel
 
 _LOG2_E = math.log2(math.e)
@@ -160,19 +160,18 @@ def build_report(h: Histogram, model: EquilibriumModel | None = None) -> ThermoR
     mean = model.mean_distance
     obs = without_self_match(h) if h.mode == SELF_MODE else h
     if obs.n_obs > 0:
-        u_bar = internal_energy(obs, mean)
-        s_thermo, s_micro = entropy(obs)
+        u_bar, s_thermo, s_micro, quality = _observed(obs, model)
     else:
-        # a single-observation ensemble holds only the self-match
-        u_bar, s_thermo, s_micro = 0.0, 0.0, 1.0
+        # a single-observation ensemble holds only the self-match, and its
+        # model is degenerate
+        u_bar, s_thermo, s_micro, quality = 0.0, 0.0, 1.0, None
     t = model.temperature
-    u_eq = s_thermo_eq = s_micro_eq_per_bit = z = s_nats = f = p = quality = None
+    u_eq = s_thermo_eq = s_micro_eq_per_bit = z = s_nats = f = p = None
     if not model.degenerate:
         u_eq = equilibrium_internal_energy(t)
         s_thermo_eq, s_micro_eq_per_bit = equilibrium_entropy(h.nbits, t, mean)
         z = partition_function(h.nbits, t)
         s_nats, f, p, _ = ensemble_thermo(h.n_obs, h.nbits, t)
-        quality = fit_quality(obs, model)
     return ThermoReport(
         temperature=t,
         internal_energy=u_bar,
@@ -192,6 +191,41 @@ def build_report(h: Histogram, model: EquilibriumModel | None = None) -> ThermoR
         nbits=h.nbits,
         n_obs=h.n_obs,
     )
+
+
+def _observed(
+    h: Histogram, model: EquilibriumModel
+) -> tuple[float, float, float, float | None]:
+    """``internal_energy(h, model.mean_distance)``, both parts of
+    ``entropy(h)`` and ``fit_quality(h, model)`` (None for a degenerate
+    model), from one pass over ``h.entries``.
+
+    Each sum takes its float operations in the order of those functions,
+    with each term that does not depend on the entry computed once, so
+    every result is the same to the bit.  The fit's normal count is
+    ``equilibrium._normal_curve``'s.
+    """
+    n, m = h.n_obs, h.nbits
+    mean = model.mean_distance
+    mass2 = 2.0 * m
+    log_m = math.lgamma(m + 1)
+    fitted = not model.degenerate
+    peak, spread = model.peak_count, 2.0 * model.variance
+    energy = arrangements = residuals = 0.0
+    occupation = math.lgamma(n + 1)
+    for c, count in h.entries:
+        p = c - mean
+        p2 = p * p
+        energy += count * (p2 / mass2)
+        occupation -= math.lgamma(count + 1)
+        arrangements += count * (log_m - math.lgamma(c + 1) - math.lgamma(m - c + 1))
+        if fitted:
+            r = count - peak * math.exp(-p2 / spread)
+            residuals += r * r
+    quality = math.sqrt(residuals / len(h.entries)) / peak if fitted else None
+    s_thermo = _LOG2_E / n * occupation
+    s_micro = 1.0 + _LOG2_E / n * arrangements
+    return energy / n, s_thermo, s_micro, quality
 
 
 class ReportField(NamedTuple):

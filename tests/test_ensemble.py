@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -356,15 +357,29 @@ def forced(kernel):
         yield
 
 
-# the product's engines: the system GMP where it loads, and decimal
-ENGINES = ("gmp", "decimal") if ensemble._load_gmp() else ("decimal",)
+GMP = ensemble._load_gmp()
+# the library functions that GMP's kernels call, where libgmp loads
+GMP_FUNCTIONS = GMP.correlations.args[0] if GMP else None
+
+# the product's engines: the system GMP where it loads, with its cyclic
+# product where the library has one and with mpz_mul, and decimal
+ENGINES = (
+    ("gmp cyclic",) * bool(GMP_FUNCTIONS and GMP_FUNCTIONS.cyclic)
+    + ("gmp mul",) * bool(GMP)
+    + ("decimal",)
+)
 
 
 @contextlib.contextmanager
 def engine(name):
-    """Multiply with ``name``: GMP, or decimal with the loader finding no GMP."""
-    if name == "gmp":
+    """Multiply with ``name``: GMP with its cyclic product where that
+    serves, GMP's mpz_mul with the cyclic product unavailable, or decimal
+    with the loader finding no GMP."""
+    if name == "gmp cyclic":
         yield
+    elif name == "gmp mul":
+        with mock.patch.object(GMP_FUNCTIONS, "cyclic", None):
+            yield
     else:
         with mock.patch.object(ensemble, "_load_gmp", return_value=None):
             yield
@@ -645,11 +660,13 @@ class TestKernelEquivalence:
         st.integers(1, 40).flatmap(bit_strings),
         st.integers(1, 40).flatmap(bit_strings),
     )
+    @example("0" * 32, "1" * 32)
     def test_every_wider_slot_decodes_alike(self, a, b):
         # slots wider than the bound only add leading zeros; this drives
         # the 8-digit slots that a natural width reaches only past 10**7
         # set bits, every widening from 5-7 digits, and GMP's 8-byte cells
-        # from a bound of 2**32 on
+        # from a bound of 2**32 on.  An all-zero operand of even-width
+        # slots has a whole number of limbs but none of its own
         length = lcm(len(a), len(b))
         period = gcd(len(a), len(b))
         ones_a = a.count("1") * (length // len(a))
@@ -671,6 +688,18 @@ class TestKernelEquivalence:
     def test_slot_capacity(self):
         assert ensemble._use_product(10**9 * 2**20, 2**20, 8)
         assert not ensemble._use_product(10**9 * 2**20, 2**20, 9)
+
+
+@st.composite
+def opposite_ends(draw):
+    """Two strings of one to three periods of 64 to 8192 bits whose set
+    bits cluster at the start of the first and at the end of the second,
+    so that each operand of their product holds few limbs."""
+    period = draw(st.sampled_from([64, 128, 512, 1024, 8192]))
+    width = draw(st.integers(1, 64))
+    a = draw(bit_strings(width)) + "0" * (period * draw(st.integers(1, 3)) - width)
+    b = "0" * (period * draw(st.integers(1, 3)) - width) + draw(bit_strings(width))
+    return a, b
 
 
 PAIR_SHAPES = {
@@ -1236,6 +1265,7 @@ class TestEngines:
         st.one_of(
             chunked_pair(),
             st.integers(1, 80).flatmap(bit_strings).map(lambda bits: (bits, bits)),
+            opposite_ends(),
         )
     )
     def test_engines_agree_with_the_loop(self, pair):
@@ -1360,7 +1390,173 @@ class TestEngines:
             gmp.correlations([255, 255], [255, 255], 8, 8, 1)
 
 
-GMP = ensemble._load_gmp()
+needs_cyclic = pytest.mark.skipif(
+    "gmp cyclic" not in ENGINES, reason="no libgmp 6 with a cyclic product"
+)
+
+# one set bit at the start of a 1 KB string and one at the end of another:
+# each operand of their full pair's product is one limb, and
+# an + bn = 2 <= rn = 128, so GMP multiplies them with mpz_mul
+OPPOSITE_ENDS = (b"\x80" + bytes(1023), bytes(1023) + b"\x01")
+
+
+def random_bytes(size, seed):
+    return random.Random(seed).randbytes(size)
+
+
+# inputs of one full ensemble each, and whether GMP multiplies them with
+# the cyclic product (else with mpz_mul): 64 divides s*g and GMP's
+# transform takes rn limbs unpadded for every power-of-two period here.
+# Each takes the product by default but 100 B, which the test forces
+DISPATCH = {
+    "1 KB self": ((random_bytes(1024, 1),), True),
+    "16 KB self": ((random_bytes(16384, 2),), True),
+    "2 KB x 3 KB": ((random_bytes(2048, 3), random_bytes(3072, 4)), True),
+    # s*g = 12 * 8000 bits is 1500 limbs, which GMP pads to 1536
+    "1000 B self": ((random_bytes(1000, 5),), False),
+    # s*g = 9 * 800 bits is no whole number of limbs
+    "100 B self": ((random_bytes(100, 6),), False),
+    # an operand of 0 has no limbs
+    "all-zero": ((bytes(1024),), False),
+}
+
+
+def full_build(inputs):
+    """The full ensemble of one string, or of a pair, given as bytes."""
+    strings = [from_bytes(data) for data in inputs]
+    if len(strings) == 1:
+        return build_self_ensemble(strings[0])
+    return build_pair_ensemble(*strings)
+
+
+@contextlib.contextmanager
+def spy_multiplies():
+    """Spies on GMP's cyclic multiply (a mock that nothing calls while the
+    cyclic product is unavailable) and on its mpz_mul."""
+    functions = GMP_FUNCTIONS.cyclic
+    cyclic = (
+        mock.patch.object(functions, "mulmod_bnm1", wraps=functions.mulmod_bnm1)
+        if functions
+        else contextlib.nullcontext(mock.Mock())
+    )
+    with cyclic as cyclic_spy, mock.patch.object(
+        GMP_FUNCTIONS, "mul", wraps=GMP_FUNCTIONS.mul
+    ) as mul:
+        yield cyclic_spy, mul
+
+
+class LibraryWithout:
+    """A loaded libgmp with the functions ``missing`` hidden."""
+
+    def __init__(self, lib, missing):
+        self.lib, self.missing = lib, missing
+
+    def __getattr__(self, name):
+        # ctypes reads _handle, to find __gmp_version, through here too
+        if name in self.missing:
+            raise AttributeError(name)
+        return getattr(self.lib, name)
+
+
+@needs_cyclic
+class TestCyclicProduct:
+    @pytest.mark.parametrize("name", list(DISPATCH))
+    def test_dispatch(self, name):
+        inputs, cyclic = DISPATCH[name]
+        with forced("product"), spy_multiplies() as (cyclic_spy, mul):
+            e = full_build(inputs)
+        assert (cyclic_spy.call_count, mul.call_count) == (
+            (1, 0) if cyclic else (0, 1)
+        )
+        with forced("product"), engine("decimal"):
+            assert e == full_build(inputs)
+
+    def test_opposite_ends_pair_takes_mpz_mul(self):
+        # GMP's cyclic product would read limbs it was not given here, and
+        # may crash the process: the build runs in a child of its own
+        script = (
+            "import json, sys\n"
+            "from unittest import mock\n"
+            "from strtherm import ensemble\n"
+            "from strtherm.bitstring import from_bytes\n"
+            "gmp = ensemble._load_gmp().correlations.args[0]\n"
+            "a = from_bytes(b'\\x80' + bytes(1023))\n"
+            "b = from_bytes(bytes(1023) + b'\\x01')\n"
+            "with mock.patch.object(gmp.cyclic, 'mulmod_bnm1', "
+            "wraps=gmp.cyclic.mulmod_bnm1) as cyclic, "
+            "mock.patch.object(gmp, 'mul', wraps=gmp.mul) as mul:\n"
+            "    e = ensemble.build_pair_ensemble(a, b)\n"
+            "json.dump([cyclic.call_count, mul.call_count, e.entries], sys.stdout)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ensemble.__file__).parents[1])}
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        cyclic, mul, entries = json.loads(child.stdout)
+        assert (cyclic, mul) == (0, 1)
+        with engine("decimal"):
+            want = full_build(OPPOSITE_ENDS)
+        assert [tuple(entry) for entry in entries] == list(want.entries)
+
+    def test_residue_class_zero(self):
+        # every C(n) is 63 = 2**6 - 1, so the residue modulo 2**384 - 1 of
+        # the product is 0, which GMP returns as 2**384 - 1: six limbs of
+        # ones, the same as the fold
+        a, b = from_bytes(b"\xff" * 8), from_bytes(b"\xff" * 7 + b"\xfe")
+        for name in ENGINES:
+            with forced("product"), engine(name), spy_multiplies() as (cyclic, _):
+                e = build_pair_ensemble(a, b)
+            assert e.entries == ((1, 64),), name
+            assert cyclic.called == (name == "gmp cyclic")
+
+    @pytest.mark.parametrize(
+        "missing, version",
+        [
+            (("__gmpn_mulmod_bnm1",), None),
+            (("__gmpn_mulmod_bnm1_next_size",), None),
+            (("__gmpz_roinit_n",), None),
+            ((), "5.1.3"),
+            ((), "7.0.0"),
+            ((), "6.0.0"),
+        ],
+        ids=["no mulmod", "no next_size", "no roinit_n", "5.1.3", "7.0.0", "6.0.0"],
+    )
+    def test_loader_falls_back_to_mpz_mul(self, missing, version, monkeypatch):
+        import ctypes
+
+        cdll = ctypes.CDLL
+        monkeypatch.setattr(
+            ctypes, "CDLL", lambda name: LibraryWithout(cdll(name), missing)
+        )
+        if version:
+            monkeypatch.setattr(_gmp, "_version", lambda lib: version)
+        loaded = _gmp.load()
+        monkeypatch.undo()
+        gmp = loaded.correlations.args[0]
+        takes_cyclic = version == "6.0.0"
+        assert (gmp.cyclic is not None) == takes_cyclic
+        # a 1 KB self ensemble's operands, which the cyclic product serves
+        b = from_bytes(random_bytes(1024, 1))
+        planes = ensemble._planes(b, b.nbits)
+        args = (planes, planes, b.nbits, b.nbits // 2 + 1, b.ones)
+        with mock.patch.object(gmp, "mul", wraps=gmp.mul) as mul:
+            if takes_cyclic:
+                with mock.patch.object(
+                    gmp.cyclic, "mulmod_bnm1", wraps=gmp.cyclic.mulmod_bnm1
+                ) as cyclic:
+                    cells = loaded.correlations(*args)
+                assert cyclic.call_count == 1
+            else:
+                cells = loaded.correlations(*args)
+        assert mul.call_count == (0 if takes_cyclic else 1)
+        assert list(cells) == list(ensemble._decimal_correlations(*args))
+
+
 needs_gmp_loop = pytest.mark.skipif(
     GMP is None or GMP.shift_kernel is None,
     reason="no libgmp with 64-bit little-endian limbs",

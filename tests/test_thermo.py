@@ -3,7 +3,10 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from strtherm import thermo
 from strtherm.bitstring import from_bits, random_bitstring
 from strtherm.ensemble import (
     Histogram,
@@ -12,7 +15,7 @@ from strtherm.ensemble import (
     histogram,
     without_self_match,
 )
-from strtherm.equilibrium import fit, fit_from_mean, normal_counts
+from strtherm.equilibrium import fit, fit_from_mean, fit_quality, normal_counts
 from strtherm.errors import DegenerateModel
 from strtherm.thermo import (
     build_report,
@@ -307,6 +310,32 @@ class TestBuildReport:
         for attr in EQUILIBRIUM_FIELDS:
             value = getattr(r, attr)
             assert isinstance(value, float) and math.isfinite(value), attr
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4096).flatmap(
+            lambda nbits: st.tuples(
+                st.just(nbits),
+                st.dictionaries(
+                    st.integers(0, nbits), st.integers(1, 10**6), min_size=1
+                ),
+            )
+        )
+    )
+    @example((64, {0: 64}))
+    @example((64, {64: 3}))
+    @example((16, {0: 1, 8: 14, 16: 1}))
+    def test_one_pass_equals_the_public_functions(self, drawn):
+        # exactly equal, not close: the report's bytes must not move.  A
+        # histogram of distances 0 alone, or nbits alone, is degenerate
+        nbits, counts = drawn
+        entries = tuple(sorted(counts.items()))
+        h = Histogram(entries, sum(counts.values()), nbits, nbits)
+        model = fit(h)
+        u_bar, s_thermo, s_micro, quality = thermo._observed(h, model)
+        assert u_bar == internal_energy(h, model.mean_distance)
+        assert (s_thermo, s_micro) == entropy(h)
+        assert quality == (None if model.degenerate else fit_quality(h, model))
 
     def test_volume_is_sqrt_mass(self):
         r = build_report(full_histogram(random_bitstring(4096, 0.5, 1)))
