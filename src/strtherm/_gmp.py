@@ -29,7 +29,6 @@ from __future__ import annotations
 import ctypes
 import sys
 import threading
-from collections.abc import Callable
 from ctypes import (
     POINTER,
     Structure,
@@ -274,33 +273,35 @@ def shift_kernel(
     planes_a: list[int],
     planes_b: list[int],
     period: int,
-    last: int,
-) -> Callable[[int, int, int], list[int]]:
-    """``correlations(start, stop, workers)``, the correlations C(n) for n
-    in [start, stop) within 0..``last`` that
-    ``ensemble._shift_correlations`` computes, on GMP's limbs and split
-    over ``workers`` threads.
+    start: int,
+    stop: int,
+    workers: int,
+) -> list[int]:
+    """The correlations C(n) for n in [start, stop), 0 <= start < stop,
+    that ``ensemble._shift_correlations`` computes, on GMP's limbs and
+    split over ``workers`` threads.
 
     Each of b's planes is laid into limbs once, before any thread starts,
-    as its linear extension by ``reach``, ``last`` rounded up to a multiple
-    of 64 (``_extension``).  Rotated by n, the plane is the extension
-    shifted right by reach - n: by (reach - n) // 64 whole limbs, a
-    window's offset, and by r = (reach - n) % 64 bits, one ``mpn_rshift``
-    that every shift with that r shares.  Each pair of planes P_i of a and
-    Q_j of b then takes one ``mpn_hamdist`` against the window W:
-    popcount(P_i & W) = (pop(P_i) + pop(Q_j) - hamdist) / 2, since W holds
-    the bits of Q_j.  The window's top limb runs past the period unless 64
-    divides it, and the bits above are taken off the distance.  In self
-    mode a's planes are the windows of b's extensions at limb reach // 64,
-    with nothing above the period: each plane is laid out once.
+    as its linear extension by ``reach``, stop - 1 rounded up to a
+    multiple of 64 (``_extension``).  Rotated by n, the plane is the
+    extension shifted right by reach - n: by (reach - n) // 64 whole
+    limbs, a window's offset, and by r = (reach - n) % 64 bits, one
+    ``mpn_rshift`` that every shift with that r shares.  Each pair of
+    planes P_i of a and Q_j of b then takes one ``mpn_hamdist`` against
+    the window W: popcount(P_i & W) = (pop(P_i) + pop(Q_j) - hamdist) / 2,
+    since W holds the bits of Q_j.  The window's top limb runs past the
+    period unless 64 divides it, and the bits above are taken off the
+    distance.  In self mode a's planes are the windows of b's extensions
+    at limb reach // 64, with nothing above the period: each plane is laid
+    out once.
 
-    The residues r are dealt round-robin to the workers, so worker k's
-    first shift is start + k; the calling thread is worker 0.  Each worker
-    shifts into its own buffers and writes its shifts into one shared
-    list.  Every thread is joined before this returns or raises, and the
-    first worker's error is raised as itself.
+    The residues r are dealt round-robin to at most 64 workers, so worker
+    k's first shift is start + k; the calling thread is worker 0.  Each
+    worker shifts into its own buffers and writes its shifts into one
+    shared list.  Every thread is joined before this returns or raises,
+    and the first worker's error is raised as itself.
     """
-    reach = -(-last // 64) * 64
+    reach = -(-(stop - 1) // 64) * 64
     words = -(-period // 64)  # limbs of a window
     limbs = words + reach // 64  # limbs of an extension
     used = (period - 1) % 64 + 1  # bits of a window's top limb within the period
@@ -311,58 +312,51 @@ def shift_kernel(
         a_limbs = [_limbs(bytearray(p.to_bytes(8 * words, "little"))) for p in planes_a]
     ones_b = [q.bit_count() for q in planes_b]
     ones_a = ones_b if planes_a is planes_b else [p.bit_count() for p in planes_a]
+    vals = [0] * (stop - start)
+    # the first shift of each residue r, the range's first shift on, so
+    # that a worker's first hamdist is that of its first shift
+    firsts = range(start, min(stop, start + 64))
+    workers = min(workers, len(firsts))
+    errors: list[Exception | None] = [None] * workers
 
-    def correlations(start: int, stop: int, workers: int) -> list[int]:
-        # a shift past reach would put its window before the extension
-        if not 0 <= start < stop <= last + 1:
-            raise ValueError(f"shifts {start}..{stop - 1} are not within 0..{last}")
-        vals = [0] * (stop - start)
-        # the first shift of each residue r, the range's first shift on, so
-        # that a worker's first hamdist is that of its first shift
-        firsts = range(start, min(stop, start + 64))
-        workers = min(workers, len(firsts))
-        errors: list[Exception | None] = [None] * workers
-
-        def work(k: int) -> None:
-            try:
-                shifted = [_limbs(bytearray(8 * limbs)) for _ in planes_b]
-                for first in firsts[k::workers]:
-                    r = (reach - first) % 64
-                    if r:
-                        for (source, _), (target, _) in zip(b_limbs, shifted):
-                            gmp.rshift(target, source, limbs, r)
-                    windows = shifted if r else b_limbs
-                    for n in range(first, stop, 64):
-                        m = (reach - n) // 64
-                        c = 0
-                        for j, (address, cells) in enumerate(windows):
-                            window = address + 8 * m
-                            above = (cells[m + words - 1] >> used).bit_count()
-                            for i, (p, _) in enumerate(a_limbs):
-                                distance = gmp.hamdist(p, window, words) - above
-                                c += (ones_a[i] + ones_b[j] - distance) << (i + j)
-                        vals[n - start] = c >> 1
-            except Exception as error:
-                errors[k] = error
-
-        # threads, not processes: ctypes releases the GIL in each mpn call,
-        # where the shifts spend their time
-        threads = []
+    def work(k: int) -> None:
         try:
-            for k in range(1, workers):
-                thread = threading.Thread(target=work, args=(k,))
-                thread.start()
-                threads.append(thread)
-            work(0)
-        finally:
-            for thread in threads:
-                thread.join()
-        for error in errors:
-            if error is not None:
-                raise error
-        return vals
+            shifted = [_limbs(bytearray(8 * limbs)) for _ in planes_b]
+            for first in firsts[k::workers]:
+                r = (reach - first) % 64
+                if r:
+                    for (source, _), (target, _) in zip(b_limbs, shifted):
+                        gmp.rshift(target, source, limbs, r)
+                windows = shifted if r else b_limbs
+                for n in range(first, stop, 64):
+                    m = (reach - n) // 64
+                    c = 0
+                    for j, (address, cells) in enumerate(windows):
+                        window = address + 8 * m
+                        above = (cells[m + words - 1] >> used).bit_count()
+                        for i, (p, _) in enumerate(a_limbs):
+                            distance = gmp.hamdist(p, window, words) - above
+                            c += (ones_a[i] + ones_b[j] - distance) << (i + j)
+                    vals[n - start] = c >> 1
+        except Exception as error:
+            errors[k] = error
 
-    return correlations
+    # threads, not processes: ctypes releases the GIL in each mpn call,
+    # where the shifts spend their time
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=work, args=(k,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return vals
 
 
 def _extension(q: int, period: int, reach: int, limbs: int) -> bytearray:

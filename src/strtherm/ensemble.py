@@ -32,14 +32,18 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 # the product pays off above this many shifts per slot digit per bit of
-# the length; the measured crossover was 25-72 at slot widths 3 and 5 and
-# 31-65 at 4 and 8 (L = 2**11..2**20, CPython 3.11, 2-core Intel Xeon VM).
-# Against the three-pass loop on one CPU it was 25-66 at widths 3 and 5;
-# with the loop split over two CPUs it was 25-63 up to L = 2**17 and
-# 55-125 at L = 2**19..2**20, the higher values when the host kept the
-# second CPU free (same machine).  All of these are self ensembles, whose
-# operands hold one slot per bit; _use_product scales the bound to the g
-# slots of a pair
+# the length.  The loop's work counts its shifted bits (shifts times
+# period times both plane counts), and a product of D = width * slots
+# digits costs O(D log D), so the crossover is a fixed number of shifted
+# bits per digit, slot and bit of the slot count, measured on the
+# ``decimal`` product: 25-72 at slot widths 3 and 5 and 31-65 at 4 and 8
+# (L = 2**11..2**20, CPython 3.11, 2-core Intel Xeon VM).  Against the
+# three-pass loop on one CPU it was 25-66 at widths 3 and 5; with the loop
+# split over two CPUs it was 25-63 up to L = 2**17 and 55-125 at
+# L = 2**19..2**20, the higher values when the host kept the second CPU
+# free (same machine).  All of these are self ensembles, whose operands
+# hold one slot per bit; _plan scales the bound to the g slots of a pair.
+# Slots of more than 8 digits were never measured, and stay off the product
 _PRODUCT_SHIFTS = 50
 
 # GMP's shift kernel is split across threads from this much work (shifts
@@ -51,8 +55,20 @@ _PRODUCT_SHIFTS = 50
 # splits
 _SPLIT_BITS = 1 << 27
 
-# GMP's shift kernel serves shift loops of at least this many shifts on a
-# period of at least this many bits; _gmp_loop gives the measurements
+# GMP's shift kernel (``_gmp.shift_kernel``) serves shift loops of at
+# least this many shifts on a period of at least this many bits.  It pays
+# about 2.5 ms a MB up front to lay b's planes into limbs
+# (``int.to_bytes``), the time of one loop shift for the spot check at
+# each worker's first shift and one for the last shift, and a few us of
+# interpreter work a shift on any period; it then shifts in about a third
+# of the loop's time (0.31 against 0.9-1.6 ms at 2**23 bits).  Loop time
+# over kernel time, spot check and limbs included (one-plane random self
+# strings, one worker, best of 5, range of 4 sweeps; CPython 3.11,
+# GMP 6.2.1, 2-core Intel Xeon VM): with 12 shifts 0.59-0.61 at 2**15
+# bits, 0.75-0.78 at 2**16, 0.90-1.56 at 2**17, 1.00-1.05 at 2**18,
+# 1.01-1.12 at 2**20 and 1.00-1.39 at 2**23; with 10 shifts 0.88-1.41
+# from 2**18 on; with 16 shifts 0.85-0.91 at 2**16 and 1.04-1.06 at
+# 2**17; with 32 shifts 1.06-1.09 at 2**16
 _GMP_SHIFTS = 12
 _GMP_BITS = 1 << 18
 
@@ -152,36 +168,29 @@ def _build(
     shifts = min(n_shifts, distinct)
     planes_a = _planes(a, period)
     planes_b = planes_a if b is a else _planes(b, period)
-    work = shifts * period * len(planes_a) * len(planes_b)
     operands = (planes_a, planes_b, period)
-    if _use_product(work, period, len(str(bound))):
+    # observation 0 of a self ensemble is the self-match, C(0) = ones
+    first = 1 if mode == SELF_MODE else 0
+    pairs = len(planes_a) * len(planes_b)
+    kernel, workers = _plan(first, shifts, period, pairs, bound)
+    if kernel == "product":
         block = _correlations(*operands, distinct, bound)
-        # a self block stops at shift period//2; shift n > period//2 is
-        # the mirror of period - n
         spread = range(0, len(block), -(-len(block) // _SPOT_SHIFTS))
-        _spot_check(
-            lambda n: block[n if n < len(block) else period - n],
-            operands,
-            {1 % period, period - 1, len(block) - 1, *spread},
-        )
+        checked = {1 % period, period - 1, len(block) - 1, *spread}
     else:
-        # observation 0 of a self ensemble is the self-match, C(0) = ones
-        first = 1 if mode == SELF_MODE else 0
-        gmp_loop = _gmp_loop(shifts - first, period)
-        if shifts == first:
-            vals = []
-        elif gmp_loop:
-            workers = min(shifts - first, _cpus(work))
-            vals = gmp_loop(*operands, shifts - 1)(first, shifts, workers)
+        vals, checked = [], set()
+        if kernel == "gmp":
+            vals = _load_gmp().shift_kernel(*operands, first, shifts, workers)
             # worker k's first shift is first + k
-            _spot_check(
-                lambda n: vals[n - first],
-                operands,
-                {*range(first, first + workers), shifts - 1},
-            )
-        else:
+            checked = {*range(first, first + workers), shifts - 1}
+        elif shifts > first:
             vals = _shift_correlations(*operands, first, shifts)
         block = (a.ones,) * first + tuple(vals)
+    # a self product's block stops at shift period//2; shift n > period//2
+    # is the mirror of period - n
+    _spot_check(
+        lambda n: block[n if n < len(block) else period - n], operands, checked
+    )
     # the loop computes observed shifts only; the product's whole block,
     # observed or not, is checked
     counts, total, distances = _counts(
@@ -250,55 +259,30 @@ def _distance(total_ones: int, c: int) -> int:
     return total_ones - 2 * c
 
 
-def _use_product(work: int, slots: int, width: int) -> bool:
-    """True when one exact product of two ``slots``-slot operands with
-    ``width``-digit slots is cheaper than the shift loop's ``work``.
+def _plan(
+    first: int, shifts: int, period: int, pairs: int, bound: int
+) -> tuple[str, int]:
+    """The kernel for shifts ``first``..``shifts - 1`` of two strings with
+    ``pairs`` pairs of count planes of ``period`` bits whose correlations
+    do not exceed ``bound``, and the threads it runs on: ``("product",
+    1)``, ``("gmp", workers)`` for GMP's shift kernel, or ``("loop", 1)``.
 
-    ``work`` counts the loop's shifted bits: shifts times period times
-    the count planes of both strings, the same number ``_cpus`` splits
-    the loop by.  The product costs O(D log D) in its D = width*slots
-    digits.  The crossover is therefore a fixed number of shifted bits
-    per digit, slot and bit of ``slots``, measured on the ``decimal``
-    product.  Slots of more than 8 digits were never measured, and stay
-    on the loop.
+    Decided from these integers alone, before anything is allocated.  The
+    loop's work is its shifted bits, shifts times period times ``pairs``;
+    the product is charged by its slots of the decimal digits of
+    ``bound``.  libgmp is loaded only once GMP's size floors pass.
     """
-    return (
-        width <= 8
-        and work > _PRODUCT_SHIFTS * width * slots * slots.bit_length()
-    )
-
-
-def _gmp_loop(shifts: int, period: int) -> Callable[..., Callable] | None:
-    """GMP's shift kernel (``_gmp.shift_kernel``) for a loop of ``shifts``
-    shifts over ``period`` bits where it is cheaper than
-    ``_shift_correlations`` and loads, else None.
-
-    The kernel pays about 2.5 ms a MB up front to lay b's planes into
-    limbs (``int.to_bytes``), the time of one loop shift for the spot
-    check at each worker's first shift and one for the last shift, and a
-    few us of interpreter work a shift on any period; it then shifts in
-    about a third of the loop's time (0.31 against 0.9-1.6 ms at 2**23
-    bits).  Loop time over kernel time, spot check and limbs included
-    (one-plane random self strings, one worker, best of 5, range of 4
-    sweeps; CPython 3.11, GMP 6.2.1, 2-core Intel Xeon VM): with 12
-    shifts 0.59-0.61 at 2**15 bits, 0.75-0.78 at 2**16, 0.90-1.56 at
-    2**17, 1.00-1.05 at 2**18, 1.01-1.12 at 2**20 and 1.00-1.39 at 2**23;
-    with 10 shifts 0.88-1.41 from 2**18 on; with 16 shifts 0.85-0.91 at
-    2**16 and 1.04-1.06 at 2**17; with 32 shifts 1.06-1.09 at 2**16.
-    """
-    if shifts < _GMP_SHIFTS or period < _GMP_BITS:
-        return None
-    gmp = _load_gmp()
-    return gmp and gmp.shift_kernel
-
-
-def _cpus(work: int) -> int:
-    """CPUs to split GMP's shift kernel of ``work`` (shifts times period
-    times both plane counts) across: every CPU this process may use from
-    ``_SPLIT_BITS`` on."""
+    work = shifts * period * pairs
+    width = len(str(bound))
+    if width <= 8 and work > _PRODUCT_SHIFTS * width * period * period.bit_length():
+        return "product", 1
+    gmp = shifts - first >= _GMP_SHIFTS and period >= _GMP_BITS and _load_gmp()
+    if not (gmp and gmp.shift_kernel):
+        return "loop", 1
     if work < _SPLIT_BITS or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+        return "gmp", 1
+    # the kernel deals out the 64 residues of a limb's bits, no more
+    return "gmp", min(shifts - first, len(os.sched_getaffinity(0)), 64)
 
 
 def _planes(b: BitString, period: int) -> list[int]:

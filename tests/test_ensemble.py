@@ -329,31 +329,27 @@ def bit_strings(length):
     return st.text(alphabet="01", min_size=length, max_size=length)
 
 
-# settings that force one kernel for every ensemble size.  The ids keep
-# the names of kernels since replaced, so that every parametrized test
-# keeps its id: "lanes" and "split lanes" force GMP's shift kernel, where
-# libgmp loads, serial and split over three threads on any host (short
-# ensembles leave some idle); "split" forces the plain loop with the split
-# threshold met, which the plain loop ignores: it always runs serially
-LOOP = {"_PRODUCT_SHIFTS": 10**9, "_GMP_SHIFTS": 10**9}
-GMP_LOOP = {"_PRODUCT_SHIFTS": 10**9, "_GMP_SHIFTS": 0, "_GMP_BITS": 0}
-KERNEL_SETTINGS = {
-    "product": {"_PRODUCT_SHIFTS": 0},
-    "loop": LOOP,
-    "split": {**LOOP, "_SPLIT_BITS": 0},
-    "lanes": GMP_LOOP,
-    "split lanes": {**GMP_LOOP, "_SPLIT_BITS": 0},
-}
-KERNELS = pytest.mark.parametrize("kernel", list(KERNEL_SETTINGS))
+# the kernels that tests force by name: "gmp split" runs GMP's shift
+# kernel over three threads on any host (short ensembles leave some idle)
+KERNELS = pytest.mark.parametrize("kernel", ["product", "loop", "gmp", "gmp split"])
 SPLIT_CPUS = 3
 
 
 @contextlib.contextmanager
 def forced(kernel):
-    cpus = set(range(SPLIT_CPUS))
-    with mock.patch.multiple(ensemble, **KERNEL_SETTINGS[kernel]), mock.patch.object(
-        os, "sched_getaffinity", return_value=cpus
-    ):
+    """Build every ensemble on ``kernel``, whatever ``_plan`` would pick; a
+    forced "gmp" takes the loop where libgmp has no shift kernel, or where
+    no shift is left to compute."""
+
+    def plan(first, shifts, period, pairs, bound):
+        if kernel in ("product", "loop"):
+            return kernel, 1
+        gmp = ensemble._load_gmp()
+        if not (gmp and gmp.shift_kernel) or shifts == first:
+            return "loop", 1
+        return "gmp", min(shifts - first, SPLIT_CPUS if kernel == "gmp split" else 1)
+
+    with mock.patch.object(ensemble, "_plan", plan):
         yield
 
 
@@ -431,6 +427,29 @@ def chunked_pair(draw):
     return tuple(strings)
 
 
+# _plan's decisions: its arguments (first, shifts, period, pairs, bound),
+# the CPUs in the affinity mask, what the libgmp loader returns, and the
+# plan.  The loader is stubbed, so that each row holds on any host
+LOADED = SimpleNamespace(shift_kernel=object())
+NO_SHIFT_KERNEL = SimpleNamespace(shift_kernel=None)
+ONE_MB_64 = (1, 64, 2**23, 1, 2**22)
+PLAN_TABLE = {
+    "1 KB full self": ((1, 4097, 2**13, 1, 4096), 2, LOADED, ("product", 1)),
+    "16 KB full self": ((1, 65537, 2**17, 1, 65536), 2, LOADED, ("product", 1)),
+    # below GMP's period floor, and below and at its shift floor
+    "2**18 - 1 bits 64 shifts": ((1, 64, 2**18 - 1, 1, 2**17), 2, LOADED, ("loop", 1)),
+    "256 KB --ensemble 12": ((1, 12, 2**21, 1, 2**20), 2, LOADED, ("loop", 1)),
+    "256 KB --ensemble 13": ((1, 13, 2**21, 1, 2**20), 2, LOADED, ("gmp", 1)),
+    # enough work to split over every CPU
+    "1 MB --ensemble 64": (ONE_MB_64, 2, LOADED, ("gmp", 2)),
+    "1 MB --ensemble 64, 1 CPU": (ONE_MB_64, 1, LOADED, ("gmp", 1)),
+    "no libgmp": (ONE_MB_64, 2, None, ("loop", 1)),
+    "no shift kernel": (ONE_MB_64, 2, NO_SHIFT_KERNEL, ("loop", 1)),
+    # a full self ensemble with 10**8 set bits: 9-digit slots
+    "10**8 set bits": ((1, 10**8 + 1, 2 * 10**8, 1, 10**8), 2, LOADED, ("gmp", 2)),
+}
+
+
 class TestKernelEquivalence:
     @KERNELS
     @settings(max_examples=40, deadline=None)
@@ -489,8 +508,7 @@ class TestKernelEquivalence:
     )
     def test_slot_width_boundary(self, length, p, seed, shifts):
         b = random_bitstring(length, p, seed)
-        width = slot_width(b.ones, b.ones)
-        assert ensemble._use_product((length // 2 + 1) * length, length, width)
+        assert ensemble._plan(1, length // 2 + 1, length, 1, b.ones)[0] == "product"
         e = build_self_ensemble(b, length)
         bits = b.to_bits()
         shifts = [0, 1, length - 1] + [n % length for n in shifts]
@@ -686,8 +704,19 @@ class TestKernelEquivalence:
                 assert decode == want, (name, bound)
 
     def test_slot_capacity(self):
-        assert ensemble._use_product(10**9 * 2**20, 2**20, 8)
-        assert not ensemble._use_product(10**9 * 2**20, 2**20, 9)
+        # 10**9 shifts of 2**20 bits: slots of 8 digits take the product,
+        # slots of 9 never do
+        assert ensemble._plan(0, 10**9, 2**20, 1, 10**8 - 1)[0] == "product"
+        assert ensemble._plan(0, 10**9, 2**20, 1, 10**8)[0] != "product"
+
+    @pytest.mark.parametrize("name", list(PLAN_TABLE))
+    def test_plan_table(self, name):
+        # integers in, nothing allocated
+        args, cpus, loaded, want = PLAN_TABLE[name]
+        with mock.patch.object(
+            ensemble, "_load_gmp", return_value=loaded
+        ), mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))):
+            assert ensemble._plan(*args) == want
 
 
 @st.composite
@@ -1588,14 +1617,9 @@ def worker_hamdist(changes):
         return distance
 
     def shift_kernel(*args):
+        workers[:] = [threading.current_thread()]
         changed = SimpleNamespace(**{**vars(gmp), "hamdist": hamdist})
-        correlations = _gmp.shift_kernel(changed, *args)
-
-        def called(*shifts):
-            workers[:] = [threading.current_thread()]
-            return correlations(*shifts)
-
-        return called
+        return _gmp.shift_kernel(changed, *args)
 
     with mock.patch.object(GMP, "shift_kernel", shift_kernel), mock.patch.object(
         _gmp.threading, "Thread", thread
@@ -1634,7 +1658,7 @@ class TestSplitLoop:
             count = min(n, gcd(len(a), len(b)))
         with forced("loop"):
             serial = build(*args).values
-        with forced("split lanes"), spy_threads() as threads:
+        with forced("gmp split"), spy_threads() as threads:
             split = build(*args).values
         # the calling thread is worker 0, a started thread each other one
         assert threads.call_count == max(min(count, SPLIT_CPUS) - 1, 0)
@@ -1651,7 +1675,7 @@ class TestSplitLoop:
         # has no mirror and no shorter period, so all 30011 are computed
         a = random_bitstring(30011, 0.5, 12)
         b = random_bitstring(30011, 0.5, 13)
-        with forced("split lanes"):
+        with forced("gmp split"):
             vals = build_pair_ensemble(a, b).values
         with forced("product"):
             assert vals == build_pair_ensemble(a, b).values
@@ -1668,7 +1692,7 @@ class TestSplitLoop:
 
         b = random_bitstring(301, 0.5, 3)
         threads = threading.active_count()
-        with forced("split lanes"), worker_hamdist({1: fail}) as workers:
+        with forced("gmp split"), worker_hamdist({1: fail}) as workers:
             with pytest.raises(RuntimeError) as raised:
                 build_self_ensemble(b, 61)
         assert raised.value is error and str(raised.value) == "worker fault"
@@ -1679,7 +1703,7 @@ class TestSplitLoop:
     def test_every_thread_is_joined(self):
         b = random_bitstring(301, 0.5, 3)
         threads = threading.active_count()
-        with forced("split lanes"), spy_threads() as spy:
+        with forced("gmp split"), spy_threads() as spy:
             vals = build_self_ensemble(b, 61).values
         assert spy.call_count == SPLIT_CPUS - 1
         assert threading.active_count() == threads
@@ -1689,7 +1713,7 @@ class TestSplitLoop:
         def fail(distance, call):
             raise RuntimeError(f"worker {workers.index(threading.current_thread())}")
 
-        with forced("split lanes"), worker_hamdist({1: fail, 2: fail}) as workers:
+        with forced("gmp split"), worker_hamdist({1: fail, 2: fail}) as workers:
             with pytest.raises(RuntimeError, match="^worker 1$"):
                 build_self_ensemble(b, 61)
         assert threading.active_count() == threads
@@ -1705,7 +1729,7 @@ class TestSplitLoop:
         def far(distance, call):
             return distance + 10**6 * (call > 0)
 
-        with forced("split lanes"), worker_hamdist({1: far}):
+        with forced("gmp split"), worker_hamdist({1: far}):
             rc = main(["analyze", str(path), "--ensemble", "40", "--format", "json"])
         assert rc == 2
         captured = capsys.readouterr()
@@ -1720,7 +1744,7 @@ class TestSplitLoop:
         other = threading.Thread(target=release.wait, args=(10,))
         other.start()
         try:
-            with forced("split lanes"), spy_threads() as threads, mock.patch.object(
+            with forced("gmp split"), spy_threads() as threads, mock.patch.object(
                 os, "fork", side_effect=AssertionError("forked")
             ):
                 vals = build_self_ensemble(b, 100).values
@@ -1731,7 +1755,7 @@ class TestSplitLoop:
         assert threads.call_count == SPLIT_CPUS - 1
         assert vals == tuple(shift_xor_distance(b, n) for n in range(100))
 
-    @pytest.mark.parametrize("kernel", list(KERNEL_SETTINGS))
+    @KERNELS
     def test_no_build_forks(self, kernel):
         a, b = random_bitstring(301, 0.5, 5), random_bitstring(602, 0.5, 6)
         with forced(kernel), mock.patch.object(
@@ -1794,32 +1818,33 @@ class TestSplitLoop:
 @st.composite
 def loop_operands(draw):
     """Count planes of a period of 1-200 bits, odd ones included: 1-4
-    planes each, or one list for both as in self mode; the last shift of
-    the loop, so that the linear extension, rounded up to 64 bits, may be
-    longer than the period; and a range [start, stop) within it."""
+    planes each, or one list for both as in self mode; and a range
+    [start, stop) of shifts within 0..period, so that the linear
+    extension by stop - 1, rounded up to 64 bits, may be longer than the
+    period."""
     period = draw(st.integers(1, 200), label="period")
     plane_lists = st.lists(st.integers(0, 2**period - 1), min_size=1, max_size=4)
     planes_a = draw(plane_lists, label="planes_a")
     same = draw(st.booleans(), label="self")
     planes_b = planes_a if same else draw(plane_lists, label="planes_b")
-    last = draw(st.integers(0, period), label="last")
-    start = draw(st.integers(0, last), label="start")
-    stop = draw(st.integers(start + 1, last + 1), label="stop")
-    return (planes_a, planes_b, period), last, start, stop
+    stop = draw(st.integers(1, period + 1), label="stop")
+    start = draw(st.integers(0, stop - 1), label="start")
+    return (planes_a, planes_b, period), start, stop
 
 
 def operands_at(period, last, same):
     """Two random planes of a and three of b, or a's for both, of
-    ``period`` bits, with the loop's ``last`` shift and its whole range."""
+    ``period`` bits, with shifts 0..``last``."""
     rng = random.Random(period)
     planes_a = [rng.getrandbits(period) for _ in range(2)]
     planes_b = planes_a if same else [rng.getrandbits(period) for _ in range(3)]
-    return (planes_a, planes_b, period), last, 0, last + 1
+    return (planes_a, planes_b, period), 0, last + 1
 
 
 # four all-one planes a string: every correlation is the largest its
 # planes allow
-DENSE_PLANES = (([2**200 - 1] * 4, [2**200 - 1] * 4, 200), 200, 0, 201)
+DENSE_PLANES = (([2**200 - 1] * 4, [2**200 - 1] * 4, 200), 0, 201)
+
 
 @needs_gmp_loop
 class TestGmpLoop:
@@ -1827,8 +1852,8 @@ class TestGmpLoop:
     @given(loop_operands())
     @example(DENSE_PLANES)
     # periods on either side of one and two limbs; the extension by
-    # reach, last rounded up to 64, is longer than the period at 63, 127
-    # and 129, and no longer at 64, 65 and 128
+    # reach, the last shift rounded up to 64, is longer than the period at
+    # 63, 127 and 129, and no longer at 64, 65 and 128
     @example(operands_at(63, 63, same=True))
     @example(operands_at(64, 64, same=False))
     @example(operands_at(65, 64, same=True))
@@ -1836,34 +1861,24 @@ class TestGmpLoop:
     @example(operands_at(128, 128, same=True))
     @example(operands_at(129, 129, same=False))
     def test_gmp_loop_matches_the_loop(self, drawn):
-        operands, last, start, stop = drawn
-        correlations = GMP.shift_kernel(*operands, last)
+        operands, start, stop = drawn
         expected = ensemble._shift_correlations(*operands, start, stop)
         # serial, and the residues dealt to three threads
-        assert correlations(start, stop, 1) == expected
-        assert correlations(start, stop, 3) == expected
+        assert GMP.shift_kernel(*operands, start, stop, 1) == expected
+        assert GMP.shift_kernel(*operands, start, stop, 3) == expected
 
     def test_many_threads_share_one_list(self):
         # more workers than cores, switching as often as the interpreter
         # allows: each writes only its own residues' shifts
-        operands, last, start, stop = operands_at(1000, 700, same=False)
-        correlations = GMP.shift_kernel(*operands, last)
+        operands, start, stop = operands_at(1000, 700, same=False)
         expected = ensemble._shift_correlations(*operands, start, stop)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (8, 64, 100):
-                assert correlations(start, stop, workers) == expected
+                assert GMP.shift_kernel(*operands, start, stop, workers) == expected
         finally:
             sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("start, stop", [(-1, 3), (5, 12), (4, 4)])
-    def test_shifts_outside_the_kernel_raise(self, start, stop):
-        # a window past the extension would be read before its buffer
-        operands, *_ = operands_at(100, 10, same=False)
-        correlations = GMP.shift_kernel(*operands, 10)
-        with pytest.raises(ValueError, match="not within 0..10"):
-            correlations(start, stop, 2)
 
     @pytest.mark.parametrize(
         "nbits, n, gmp",
@@ -1878,6 +1893,8 @@ class TestGmpLoop:
     def test_dispatch_switch(self, nbits, n, gmp):
         b = random_bitstring(nbits, 0.5, 14)
         assert ensemble._GMP_SHIFTS == 12 and ensemble._GMP_BITS == 2**18
+        # too little work to split
+        assert ensemble._plan(1, n, nbits, 1, b.ones) == ("gmp" if gmp else "loop", 1)
         with mock.patch.object(
             GMP, "shift_kernel", wraps=GMP.shift_kernel
         ) as kernel, mock.patch.object(
@@ -1885,12 +1902,28 @@ class TestGmpLoop:
         ) as loop:
             vals = build_self_ensemble(b, n).values
         assert kernel.called == gmp
-        # too little work to split: the loop recomputes the first and last
-        # shifts of GMP's one worker
+        # the loop recomputes the first and last shifts of GMP's one worker
         assert shifts_of(loop) == ([1, n - 1] if gmp else list(range(1, n)))
         assert vals == tuple(shift_xor_distance(b, k) for k in range(n))
 
-    @pytest.mark.parametrize("kernel", ["lanes", "split lanes"])
+    def test_workers_are_capped_at_64(self):
+        # 599 shifts of 2**18 bits on a 100-CPU mask: the kernel deals out
+        # 64 residues, so 63 threads start, and the loop checks the 64
+        # workers' first shifts and the last one
+        b = random_bitstring(2**18, 0.5, 15)
+        with mock.patch.object(
+            os, "sched_getaffinity", return_value=set(range(100))
+        ), spy_threads() as threads, mock.patch.object(
+            ensemble, "_spot_check", wraps=ensemble._spot_check
+        ) as spot:
+            assert ensemble._plan(1, 600, b.nbits, 1, b.ones) == ("gmp", 64)
+            vals = build_self_ensemble(b, 600).values
+        assert threads.call_count == 63
+        assert sorted(spot.call_args.args[2]) == [*range(1, 65), 599]
+        assert vals[:65] == tuple(shift_xor_distance(b, k) for k in range(65))
+        assert vals[599] == shift_xor_distance(b, 599)
+
+    @pytest.mark.parametrize("kernel", ["gmp", "gmp split"])
     def test_moved_hamdist_fails_its_spot_check(self, kernel):
         # self mode: shifts 1..60, one residue each; the calling thread,
         # worker 0, computes shift 1 first
@@ -1902,7 +1935,7 @@ class TestGmpLoop:
     def test_moved_hamdist_in_a_child_fails_its_spot_check(self):
         # worker 1, the first thread started, computes shift 2 first
         b = random_bitstring(301, 0.5, 3)
-        with forced("split lanes"), worker_hamdist({1: moved_first}):
+        with forced("gmp split"), worker_hamdist({1: moved_first}):
             with pytest.raises(
                 ExactnessCheckFailed,
                 match=r"^correlation at shift 2 is \d+, but the shift loop gives \d+$",
@@ -1911,7 +1944,7 @@ class TestGmpLoop:
 
     def test_split_gmp_loop_lays_out_limbs_once(self):
         b = random_bitstring(301, 0.5, 3)
-        with forced("split lanes"), mock.patch.object(
+        with forced("gmp split"), mock.patch.object(
             _gmp, "_extension", wraps=_gmp._extension
         ) as extension, spy_threads() as threads:
             vals = build_self_ensemble(b, 61).values
@@ -1931,7 +1964,7 @@ class TestGmpLoop:
         assert loaded.shift_kernel is None
         assert loaded.correlations.func is _gmp.correlations
         b = random_bitstring(301, 0.5, 3)
-        with forced("lanes"), mock.patch.object(
+        with forced("gmp"), mock.patch.object(
             ensemble, "_load_gmp", return_value=loaded
         ), mock.patch.object(
             ensemble, "_shift_correlations", wraps=ensemble._shift_correlations
