@@ -1,7 +1,8 @@
 """Exact kernels on the system GMP (libgmp), called through ``ctypes``:
 the cyclic correlations of a full ensemble from one product, and the
 shift loop of a many-shift partial ensemble (``mpn_rshift`` and
-``mpn_hamdist``), which threads of this process can share.
+``mpn_hamdist``), which threads of this process can share.  Both are
+bound to GMP 6 with 64-bit little-endian limbs, or to no libgmp at all.
 
 The correlations are the cyclic product a*b modulo 2**(s*g) - 1 of two
 operands of g slots of s bits, g the period.  ``mpn_mulmod_bnm1``
@@ -12,13 +13,14 @@ are nonzero, and their limb counts an and bn have an + bn > rn.  It
 returns residue class 0 as B**rn - 1, the value the fold gives, and
 needs a scratch of at most 2*rn + 4 limbs.  Elsewhere ``mpz_mul``
 computes the whole product and its high half is folded onto the low.
-``mpn_mulmod_bnm1`` is internal to GMP (``gmp-impl.h``), so it is bound
-only where the library exports it and calls itself version 6, whose
-scratch size is known; any other libgmp multiplies with ``mpz_mul``.
+``mpn_mulmod_bnm1`` is internal to GMP (``gmp-impl.h``), and its
+scratch size is known for version 6 only: a libgmp that lacks it, or
+any function here, or that is not version 6, or whose limbs are not
+little-endian 64-bit words, is not used.
 
 ``ensemble`` imports this module on the first build that needs either, so
 that importing the command line loads neither ``ctypes`` nor libgmp.
-Where either is missing, ``ensemble`` multiplies with ``decimal`` and
+Where no libgmp serves, ``ensemble`` multiplies with ``decimal`` and
 shifts with Python ints instead, and gets the same correlations.  GMP
 aborts the process when it cannot allocate memory, where ``decimal``
 raises ``MemoryError``.
@@ -59,8 +61,9 @@ class _Mpz(Structure):
 _MPZ = POINTER(_Mpz)
 
 # restype and argtypes of each function used, named without its "__gmpz_"
-# prefix (and with "_" after "import"): counts and nails are size_t, and
-# mp_bitcnt_t is unsigned long
+# prefix (and with "_" after "import"): counts and nails are size_t,
+# mp_bitcnt_t is unsigned long, and mpz_roinit_n (GMP 6 on) takes a limb
+# count, mp_size_t (long)
 _FUNCTIONS = {
     "init": (None, [_MPZ]),
     "clear": (None, [_MPZ]),
@@ -75,6 +78,7 @@ _FUNCTIONS = {
     "tdiv_q_2exp": (None, [_MPZ, _MPZ, c_ulong]),
     "tdiv_r_2exp": (None, [_MPZ, _MPZ, c_ulong]),
     "sizeinbase": (c_size_t, [_MPZ, c_int]),
+    "roinit_n": (_MPZ, [_MPZ, c_void_p, c_long]),
 }
 
 # the same for the low-level functions, named without "__gmpn_": limb
@@ -83,48 +87,37 @@ _FUNCTIONS = {
 _MPN_FUNCTIONS = {
     "rshift": (c_ulong, [c_void_p, c_void_p, c_long, c_uint]),
     "hamdist": (c_ulong, [c_void_p, c_void_p, c_long]),
-}
-
-# the cyclic product's functions, which a library may lack: the first two
-# named without "__gmpn_", mpz_roinit_n (GMP 6 on) without "__gmpz_"
-_CYCLIC_MPN_FUNCTIONS = {
     "mulmod_bnm1": (
         None,
         [c_void_p, c_long, c_void_p, c_long, c_void_p, c_long, c_void_p],
     ),
     "mulmod_bnm1_next_size": (c_long, [c_long]),
 }
-_CYCLIC_FUNCTIONS = {"roinit_n": (_MPZ, [_MPZ, c_void_p, c_long])}
 
 # the digits of a plane's binary text to the words' bytes 0 and 1
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def load() -> SimpleNamespace | None:
-    """The kernels bound to the first libgmp that loads with every
-    function they need, or None: ``correlations``, and ``shift_kernel``
-    where GMP's limbs are little-endian 64-bit words (else None).
-
-    Bound to ``correlations``, ``gmp.cyclic`` holds the cyclic product's
-    three functions where GMP's limbs are 64-bit words, the library
-    exports them and its ``__gmp_version`` starts with "6."; else it is
-    None, and ``correlations`` multiplies with ``mpz_mul``."""
+    """``correlations`` and ``shift_kernel``, bound to the first libgmp
+    that is GMP 6 with 64-bit little-endian limbs and exports every
+    function they need; or None where no library is."""
+    if sys.byteorder != "little":
+        return None
     for name in _SONAMES:
+        gmp = SimpleNamespace()
+        # OSError where the name does not load, AttributeError where a
+        # function is missing, ValueError where a variable is
         try:
             lib = ctypes.CDLL(name)
-        except OSError:
-            continue
-        gmp = SimpleNamespace()
-        try:
             _bind(gmp, lib, ("__gmpz_", _FUNCTIONS), ("__gmpn_", _MPN_FUNCTIONS))
-        except AttributeError:
+            if _limb_bits(lib) != 64 or not _version(lib).startswith("6."):
+                continue
+        except (OSError, AttributeError, ValueError):
             continue
-        limbs = _limb_bits(lib)
-        limbs_fit = limbs == 64 and sys.byteorder == "little"
-        gmp.cyclic = _cyclic_functions(lib) if limbs == 64 else None
         return SimpleNamespace(
             correlations=partial(correlations, gmp),
-            shift_kernel=partial(shift_kernel, gmp) if limbs_fit else None,
+            shift_kernel=partial(shift_kernel, gmp),
         )
     return None
 
@@ -140,22 +133,6 @@ def _bind(
             function = getattr(lib, prefix + short.rstrip("_"))
             function.restype, function.argtypes = restype, argtypes
             setattr(gmp, short, function)
-
-
-def _cyclic_functions(lib: ctypes.CDLL) -> SimpleNamespace | None:
-    """The cyclic product's functions in ``lib``, or None where it lacks
-    one or is not GMP 6."""
-    cyclic = SimpleNamespace()
-    try:
-        _bind(
-            cyclic,
-            lib,
-            ("__gmpn_", _CYCLIC_MPN_FUNCTIONS),
-            ("__gmpz_", _CYCLIC_FUNCTIONS),
-        )
-    except AttributeError:
-        return None
-    return cyclic if _version(lib).startswith("6.") else None
 
 
 def _limb_bits(lib: ctypes.CDLL) -> int:
@@ -204,7 +181,7 @@ def correlations(
             _operands(gmp, ((a, -1),), scratch, planes_a, period, size, nails)
             _operands(gmp, ((b, 1),), scratch, planes_b, period, size, nails)
         # the cyclic product's limbs stay alive until the export
-        product, limbs = _cyclic(gmp.cyclic, a, b, slot * period)
+        product, limbs = _cyclic(gmp, a, b, slot * period)
         if product is None:
             gmp.mul(a, a, b)
             gmp.tdiv_r_2exp(scratch, a, slot * period)
@@ -232,39 +209,40 @@ def correlations(
 
 
 def _cyclic(
-    cyclic: SimpleNamespace | None, a: _Mpz, b: _Mpz, bits: int
+    gmp: SimpleNamespace, a: _Mpz, b: _Mpz, bits: int
 ) -> tuple[_Mpz | None, bytearray | None]:
     """a*b modulo 2**bits - 1 from one ``mpn_mulmod_bnm1``, as a read-only
     mpz over the result limbs and those limbs, which must outlive it; or
-    (None, None) where the cyclic product does not serve.
+    (None, None) where the cyclic product does not serve.  ``gmp`` holds
+    the functions that ``load`` binds on GMP 6 with 64-bit little-endian
+    limbs; where there is no such library, ``decimal`` multiplies.
 
-    It serves where ``cyclic`` holds GMP 6's functions (``load``), and
-    where ``bits`` is rn 64-bit limbs, a size that GMP's cyclic transform
-    takes unpadded (``mpn_mulmod_bnm1_next_size(rn) == rn``), and the
-    operands have an and bn limbs with 0 < bn <= an <= rn and
+    It serves where ``bits`` is rn 64-bit limbs, a size that GMP's cyclic
+    transform takes unpadded (``mpn_mulmod_bnm1_next_size(rn) == rn``),
+    and the operands have an and bn limbs with 0 < bn <= an <= rn and
     an + bn > rn.  GMP takes no operand of 0, which has no limbs, and its
     recursion assumes an + bn > rn / 2.  For nonzero operands GMP returns
     residue 0 as 2**bits - 1, which is what the fold gives.  The scratch
     holds GMP 6's ``mpn_mulmod_bnm1_itch``, at most 2 * rn + 4 limbs,
     plus a margin.
     """
-    if cyclic is None or bits % 64:
+    if bits % 64:
         return None, None
     rn = bits // 64
     high, low = (a, b) if a.size >= b.size else (b, a)
     an, bn = high.size, low.size
     if not 0 < bn <= an <= rn or an + bn <= rn:
         return None, None
-    if cyclic.mulmod_bnm1_next_size(rn) != rn:
+    if gmp.mulmod_bnm1_next_size(rn) != rn:
         return None, None
     limbs = bytearray(8 * rn)
     scratch = bytearray(8 * (2 * rn + 4 + 64))
-    cyclic.mulmod_bnm1(
+    gmp.mulmod_bnm1(
         _address(limbs), rn, high.limbs, an, low.limbs, bn, _address(scratch)
     )
     del scratch
     product = _Mpz()
-    cyclic.roinit_n(product, _address(limbs), rn)
+    gmp.roinit_n(product, _address(limbs), rn)
     return product, limbs
 
 

@@ -24,7 +24,7 @@ SELF_MODE = "self"
 PAIR_MODE = "pair"
 
 # exact integer arithmetic on decimals of any length, for the product where
-# libgmp cannot be loaded; libmpdec multiplies long operands with a
+# no libgmp serves; libmpdec multiplies long operands with a
 # number-theoretic transform
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
@@ -277,7 +277,7 @@ def _plan(
     if width <= 8 and work > _PRODUCT_SHIFTS * width * period * period.bit_length():
         return "product", 1
     gmp = shifts - first >= _GMP_SHIFTS and period >= _GMP_BITS and _load_gmp()
-    if not (gmp and gmp.shift_kernel):
+    if not gmp:
         return "loop", 1
     if work < _SPLIT_BITS or not hasattr(os, "sched_getaffinity"):
         return "gmp", 1
@@ -394,7 +394,8 @@ def _folded(planes: list[int], period: int, width: int, reverse: bool) -> Decima
 @cache
 def _load_gmp() -> SimpleNamespace | None:
     """The kernels of ``_gmp.load`` bound to the system libgmp, or None
-    where ``ctypes`` or libgmp cannot be loaded."""
+    where ``ctypes`` cannot be loaded or no libgmp is GMP 6 with 64-bit
+    little-endian limbs."""
     try:
         from ._gmp import load
     except ImportError:
