@@ -83,9 +83,10 @@ _FUNCTIONS = {
 
 # the same for the low-level functions, named without "__gmpn_": limb
 # counts are mp_size_t (long), the shift is unsigned, and rshift returns
-# the limb shifted out, hamdist an mp_bitcnt_t
+# the limb shifted out, popcount and hamdist an mp_bitcnt_t
 _MPN_FUNCTIONS = {
     "rshift": (c_ulong, [c_void_p, c_void_p, c_long, c_uint]),
+    "popcount": (c_ulong, [c_void_p, c_long]),
     "hamdist": (c_ulong, [c_void_p, c_void_p, c_long]),
     "mulmod_bnm1": (
         None,
@@ -288,8 +289,14 @@ def shift_kernel(
         a_limbs = [(address + reach // 8, cells) for address, cells in b_limbs]
     else:
         a_limbs = [_limbs(bytearray(p.to_bytes(8 * words, "little"))) for p in planes_a]
-    ones_b = [q.bit_count() for q in planes_b]
-    ones_a = ones_b if planes_a is planes_b else [p.bit_count() for p in planes_a]
+    # each plane's set bits, counted on the limbs just laid out: b's
+    # windows at limb reach // 64 hold its planes, with no bit set above
+    # the period
+    ones_b = [gmp.popcount(address + reach // 8, words) for address, _ in b_limbs]
+    if planes_a is planes_b:
+        ones_a = ones_b
+    else:
+        ones_a = [gmp.popcount(address, words) for address, _ in a_limbs]
     vals = [0] * (stop - start)
     # the first shift of each residue r, the range's first shift on, so
     # that a worker's first hamdist is that of its first shift

@@ -83,7 +83,14 @@ def truncate(b: BitString, nbits: int) -> BitString:
         )
     if nbits == b.nbits:
         return b
-    return BitString(b.value >> (b.nbits - nbits), nbits)
+    drop = b.nbits - nbits
+    # the kept bits' count is b's less that of the dropped low bits, so
+    # the kept bits are not counted again
+    kept = object.__new__(BitString)
+    object.__setattr__(kept, "value", b.value >> drop)
+    object.__setattr__(kept, "nbits", nbits)
+    object.__setattr__(kept, "ones", b.ones - (b.value & ((1 << drop) - 1)).bit_count())
+    return kept
 
 
 def shift_xor_distance(b: BitString, n: int) -> int:

@@ -43,16 +43,19 @@ _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 # L = 2**19..2**20, the higher values when the host kept the second CPU
 # free (same machine).  All of these are self ensembles, whose operands
 # hold one slot per bit; _plan scales the bound to the g slots of a pair.
-# Slots of more than 8 digits were never measured, and stay off the product
 _PRODUCT_SHIFTS = 50
 
-# GMP's shift kernel is split across threads from this much work (shifts
-# times period times both plane counts) on.  The value was measured for
-# forked workers of the plain loop: with a second CPU free, two took
-# 1.06-1.07 times the serial self loop at 2**26, 0.75-0.82 at 2**27 and
-# 0.65-0.69 at 2**28 (L = 2**16..2**23, same machine); 1.1-1.4 while the
-# host ran both on one CPU.  The plain loop, which holds the GIL, never
-# splits
+# GMP's shift kernel runs on more than one thread from this much work
+# (shifts times period times both plane counts) on; below it, and in the
+# plain loop, which holds the GIL, one thread shifts.  The value is
+# inherited from forked workers of the plain loop, which no longer
+# split: with a second CPU free, two took 1.06-1.07 times the serial self
+# loop at 2**26, 0.75-0.82 at 2**27 and 0.65-0.69 at 2**28 (L = 2**16..
+# 2**23, same machine); 1.1-1.4 while the host ran both on one CPU.  It
+# has not been recalibrated for threads.  In a phase where two ``sha256``
+# threads took 1.7-1.8 times one, 1 MB --ensemble 16, work exactly
+# 2**27, took 7.1-9.5 ms on one kernel thread and 8.3-12.7 ms on two
+# (in-process, 7 builds a side, 3 rounds, same machine)
 _SPLIT_BITS = 1 << 27
 
 # GMP's shift kernel (``_gmp.shift_kernel``) serves shift loops of at
@@ -270,11 +273,13 @@ def _plan(
     Decided from these integers alone, before anything is allocated.  The
     loop's work is its shifted bits, shifts times period times ``pairs``;
     the product is charged by its slots of the decimal digits of
-    ``bound``.  libgmp is loaded only once GMP's size floors pass.
+    ``bound``, at every slot width, since GMP's binary slots and
+    ``decimal``'s digit columns decode any.  libgmp is loaded only once
+    GMP's size floors pass.
     """
     work = shifts * period * pairs
     width = len(str(bound))
-    if width <= 8 and work > _PRODUCT_SHIFTS * width * period * period.bit_length():
+    if work > _PRODUCT_SHIFTS * width * period * period.bit_length():
         return "product", 1
     gmp = shifts - first >= _GMP_SHIFTS and period >= _GMP_BITS and _load_gmp()
     if not gmp:

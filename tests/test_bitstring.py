@@ -75,6 +75,13 @@ class TestTruncate:
         with pytest.raises(InvalidLength):
             truncate(from_bits("10100000"), n)
 
+    @given(st.binary(min_size=1, max_size=32), st.integers(min_value=1))
+    def test_kept_count_matches_a_fresh_count(self, data, n):
+        # the kept count is derived from the dropped bits, not recounted
+        b = from_bytes(data)
+        n = (n - 1) % b.nbits + 1
+        assert truncate(b, n) == from_bits(b.to_bits()[:n])
+
 
 class TestShiftXorDistance:
     def test_zero_shift_is_zero(self):
@@ -175,6 +182,18 @@ class TestRandomBitstring:
 
 
 class TestBitString:
+    @pytest.mark.parametrize("nbits", [0, -1])
+    def test_nonpositive_length_rejected(self, nbits):
+        with pytest.raises(InvalidLength):
+            BitString(0, nbits)
+
+    def test_repr_shows_up_to_64_bits(self):
+        assert repr(from_bits("0101")) == "BitString(0101, nbits=4, ones=2)"
+        assert repr(BitString(1, 64)) == f"BitString({1:064b}, nbits=64, ones=1)"
+
+    def test_repr_elides_longer_strings(self):
+        assert repr(BitString(1, 65)) == "BitString(...65 bits..., nbits=65, ones=1)"
+
     def test_padding_invariant(self):
         with pytest.raises(ValueError):
             BitString(0b10000, 4)

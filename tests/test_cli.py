@@ -59,6 +59,14 @@ class TestGenCorpus:
         with pytest.raises(ValueError):
             gen_corpus("fibonacci", 8, 0, str(tmp_path / "x.bin"))
 
+    def test_zero_bytes_rejected(self, tmp_path, capsys):
+        out = tmp_path / "e.bin"
+        rc = main(["gen", "--kind", "random", "--bytes", "0",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert "corpus size must be >= 1 byte" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_exit_codes(self, tmp_path, capsys):
         out = tmp_path / "g.bin"
         assert main(["gen", "--kind", "random", "--bytes", "32",
@@ -203,6 +211,24 @@ class TestAnalyze:
         assert doc["mode"] == "pair"
         assert doc["pair_input"] == str(b)
         assert doc["nbits"] == 512
+
+    def test_pair_mode_human(self, tmp_path, capsys):
+        a = tmp_path / "a.bin"
+        b = tmp_path / "b.bin"
+        gen_corpus("random", 64, 1, str(a))
+        gen_corpus("random", 64, 2, str(b))
+        rc = main(["analyze", str(a), "--pair", str(b)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            f"input:            {a}",
+            f"pair input:       {b}",
+            "mode:             pair",
+        ]
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_input_count_rejected(self, crafted_file, count):
+        with pytest.raises(ValueError, match="one input, or two"):
+            analyze(AnalysisConfig(inputs=(crafted_file,) * count))
 
     def test_pipeline_matches_library(self, tmp_path):
         path = tmp_path / "r.bin"

@@ -226,6 +226,10 @@ class TestEnsembleMean:
         h = histogram(build_self_ensemble(from_bits("0000"), 1))
         assert ensemble_mean(h) == 0.0
 
+    def test_no_observations_rejected(self):
+        with pytest.raises(InvalidEnsembleSize):
+            ensemble_mean(Histogram((), 0, 4, 0))
+
     def test_mean_identity_block(self):
         # full-ensemble mean equals 2*m*p*(1-p)
         h = histogram(build_self_ensemble(from_bits("0011"), 4))
@@ -441,8 +445,9 @@ PLAN_TABLE = {
     "1 MB --ensemble 64": (ONE_MB_64, 2, LOADED, ("gmp", 2)),
     "1 MB --ensemble 64, 1 CPU": (ONE_MB_64, 1, LOADED, ("gmp", 1)),
     "no libgmp": (ONE_MB_64, 2, None, ("loop", 1)),
-    # a full self ensemble with 10**8 set bits: 9-digit slots
-    "10**8 set bits": ((1, 10**8 + 1, 2 * 10**8, 1, 10**8), 2, LOADED, ("gmp", 2)),
+    # a full self ensemble with 10**8 set bits: 9-digit slots, which take
+    # the product like any other width
+    "10**8 set bits": ((1, 10**8 + 1, 2 * 10**8, 1, 10**8), 2, LOADED, ("product", 1)),
 }
 
 
@@ -700,10 +705,10 @@ class TestKernelEquivalence:
                 assert decode == want, (name, bound)
 
     def test_slot_capacity(self):
-        # 10**9 shifts of 2**20 bits: slots of 8 digits take the product,
-        # slots of 9 never do
-        assert ensemble._plan(0, 10**9, 2**20, 1, 10**8 - 1)[0] == "product"
-        assert ensemble._plan(0, 10**9, 2**20, 1, 10**8)[0] != "product"
+        # 10**9 shifts of 2**20 bits take the product at every slot width:
+        # 8 digits, 9 and 13, whose cells the test above decodes
+        for bound in (10**8 - 1, 10**8, 2**40):
+            assert ensemble._plan(0, 10**9, 2**20, 1, bound)[0] == "product"
 
     @pytest.mark.parametrize("name", list(PLAN_TABLE))
     def test_plan_table(self, name):
