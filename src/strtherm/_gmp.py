@@ -164,7 +164,8 @@ def correlations(
     slots.  ``_cyclic`` computes that residue where it can; elsewhere
     ``mpz_mul`` computes the whole product and the high half is folded
     onto the low.  The residue of a nonzero product is never 0: where
-    every C(n) is 2**s - 1 both give 2**(s*period) - 1.
+    every C(n) is 2**s - 1 both give 2**(s*period) - 1.  Only its top
+    ``count`` slots are exported, into a buffer of ``count`` cells.
     """
     slot = max(1, bound.bit_length())
     size = 4 if slot <= 32 else 8
@@ -181,7 +182,7 @@ def correlations(
         else:
             _operands(gmp, ((a, -1),), scratch, planes_a, period, size, nails)
             _operands(gmp, ((b, 1),), scratch, planes_b, period, size, nails)
-        # the cyclic product's limbs stay alive until the export
+        # the cyclic product's limbs stay alive until the shift
         product, limbs = _cyclic(gmp, a, b, slot * period)
         if product is None:
             gmp.mul(a, a, b)
@@ -189,24 +190,27 @@ def correlations(
             gmp.tdiv_q_2exp(a, a, slot * period)
             gmp.add(a, a, scratch)
             product = a
-        # mpz_export writes every word the value needs: any past the
-        # period's cells would land before the buffer
-        words = -(-gmp.sizeinbase(product, 2) // slot)
+        # cells 0..count-1 are the top count slots: the rest are shifted out
+        gmp.tdiv_q_2exp(a, product, slot * (period - count))
+        # the product's slots, those shifted out included: mpz_export
+        # writes every word the value needs, and any past the period's
+        # cells would land before the buffer
+        words = period - count + -(-gmp.sizeinbase(a, 2) // slot)
         if words > period:
             raise ExactnessCheckFailed(
                 f"the folded product needs {words} slots, more than {period}"
             )
         # highest slot first, right-aligned in zeroed cells, so that cell
         # n holds slot period - 1 - n
-        cells = bytearray(size * period)
+        cells = bytearray(size * count)
         pointer = _pointer(cells)
         start = ctypes.addressof(pointer) + size * (period - words)
-        gmp.export(start, None, 1, size, 0, nails, product)
+        gmp.export(start, None, 1, size, 0, nails, a)
     finally:
         for z in (a, b, scratch):
             gmp.clear(z)
     # the view keeps the cells alive as long as the ensemble's block is
-    return memoryview(cells).cast("I" if size == 4 else "Q")[:count]
+    return memoryview(cells).cast("I" if size == 4 else "Q")
 
 
 def _cyclic(

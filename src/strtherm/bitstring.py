@@ -12,7 +12,6 @@ byte order, bit 0 is the most significant bit of byte 0.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import EmptyInput, InvalidLength, InvalidShift
@@ -118,6 +117,8 @@ def random_bitstring(nbits: int, p: float, seed: int) -> BitString:
         return BitString(0, nbits)
     if p == 1.0:
         return BitString((1 << nbits) - 1, nbits)
+    # imported here, so that importing the command line does not load it
+    import random
     rng = random.Random(seed)
     if p == 0.5:
         value = rng.getrandbits(nbits)

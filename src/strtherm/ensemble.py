@@ -10,23 +10,21 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
-from collections.abc import Callable, Collection, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import cache, cached_property, partial
 from math import gcd, lcm
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .bitstring import BitString
 from .errors import ExactnessCheckFailed, InvalidEnsembleSize
 
+if TYPE_CHECKING:
+    from decimal import Context, Decimal
+
 SELF_MODE = "self"
 PAIR_MODE = "pair"
-
-# exact integer arithmetic on decimals of any length, for the product where
-# no libgmp serves; libmpdec multiplies long operands with a
-# number-theoretic transform
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 # digit characters to the values 0-9
 _DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
@@ -196,13 +194,8 @@ def _build(
     )
     # the loop computes observed shifts only; the product's whole block,
     # observed or not, is checked
-    counts, total, distances = _counts(
-        block, total_ones, mode, length, period, n_shifts
-    )
-    _check_exact(distances, total, length, ones_a, ones_b, max_distance)
-    entries = tuple(sorted(counts.items()))
     return Ensemble(
-        entries,
+        _entries(block, mode, length, period, n_shifts, ones_a, ones_b, max_distance),
         n_shifts,
         length,
         max_distance,
@@ -212,23 +205,27 @@ def _build(
     )
 
 
-def _counts(
+def _entries(
     block: Sequence[int],
-    total_ones: int,
     mode: str,
     length: int,
     period: int,
     n_shifts: int,
-) -> tuple[Counter, int | None, set[int]]:
-    """Distance -> number among observations 0..n_shifts-1, the sum of
-    the full ensemble's distances if ``block`` is the whole distinct
-    block, else None, and every distance ``block`` decodes to.
+    ones_a: int,
+    ones_b: int,
+    max_distance: int,
+) -> tuple[tuple[int, int], ...]:
+    """Each distance among observations 0..n_shifts-1 with its count,
+    ascending, from the correlations ``block``; raise unless every
+    distance ``block`` decodes to, observed or not, meets its exact
+    integer identities: range and parity, and, if ``block`` is the whole
+    distinct block, the sum of the full ensemble's distances.
 
     Block entry j stands for ``weight(j, n)`` of observations 0..n-1; the
     weights for n_shifts and for the full ensemble are constant between
-    consecutive ``cuts``, so each piece is counted once and each of its
-    distinct correlations decoded once.  An entry of the product's whole
-    block that no observation shares weighs 0 for n_shifts.
+    consecutive ``cuts``, so each piece is counted once, and each distinct
+    correlation is decoded once.  An entry of the product's whole block
+    that no observation shares weighs 0 for n_shifts.
     """
     if mode == SELF_MODE:
         # entry j is shift j, and shift length - j as well unless that is j
@@ -245,16 +242,36 @@ def _counts(
         cuts = {n_shifts % period}
         whole = len(block) == period
     bounds = sorted({0, len(block)} | {c for c in cuts if 0 < c < len(block)})
-    counts, total, distances = Counter(), 0, set()
+    observed, every = {}, {}
     for start, stop in zip(bounds, bounds[1:]):
-        observed, every = weight(start, n_shifts), weight(start, length)
-        for key, count in Counter(block[start:stop]).items():
-            d = _distance(total_ones, key)
-            if observed:
-                counts[d] += observed * count
-            total += every * count * d
-            distances.add(d)
-    return counts, total if whole else None, distances
+        seen, all_shifts = weight(start, n_shifts), weight(start, length)
+        for c, count in Counter(block[start:stop]).items():
+            observed[c] = observed.get(c, 0) + seen * count
+            every[c] = every.get(c, 0) + all_shifts * count
+    total_ones = ones_a + ones_b
+    entries, decoded, total = [], [], 0
+    # the distance falls as the correlation rises, so descending
+    # correlations decode to ascending distances
+    for c in sorted(every, reverse=True):
+        d = _distance(total_ones, c)
+        decoded.append(d)
+        total += every[c] * d
+        if observed[c]:
+            entries.append((d, observed[c]))
+    problems = []
+    if whole:
+        expected_sum = length * total_ones - 2 * ones_a * ones_b
+        if total != expected_sum:
+            problems.append(f"sum of distances {total} != {expected_sum}")
+    if min(decoded) < 0 or max(decoded) > max_distance:
+        problems.append(f"distances outside [0, {max_distance}]")
+    if any((d - total_ones) % 2 for d in decoded):
+        problems.append(f"distances of parity other than {total_ones % 2}")
+    if problems:
+        raise ExactnessCheckFailed(
+            f"{length}-bit ensemble failed its exactness check: " + "; ".join(problems)
+        )
+    return tuple(entries)
 
 
 def _distance(total_ones: int, c: int) -> int:
@@ -368,31 +385,28 @@ def _spot_check(
             )
 
 
-def _slots(bits: bytes, width: int) -> Decimal:
-    """The integer whose ``width``-digit slots hold ``bits``, first bit highest."""
-    # repeated in place, with no bytes temporary of the same size: freed
-    # temporaries below the slots' decimal would stay resident
-    buf = bytearray(b"0") * (width * len(bits))
-    buf[width - 1 :: width] = bits
-    return Decimal(buf.decode())
-
-
-def _folded(planes: list[int], period: int, width: int, reverse: bool) -> Decimal:
+def _folded(
+    planes: list[int], period: int, width: int, reverse: bool, exact: Context
+) -> Decimal:
     """The product's operand from a string's count ``planes``: the integer
     whose ``period`` slots of ``width`` digits hold the set-bit count at
     each reading position modulo ``period``, position 0 highest, or lowest
-    if ``reverse``.  Counts wider than a slot carry into the next one,
-    which leaves the integer the same."""
+    if ``reverse``, added in the context ``exact``.  Counts wider than a
+    slot carry into the next one, which leaves the integer the same."""
     step = -1 if reverse else 1
 
     def slots(plane: int) -> Decimal:
-        return _slots(format(plane, f"0{period}b")[::step].encode(), width)
+        # repeated in place, with no bytes temporary of the same size:
+        # freed temporaries below the slots' decimal would stay resident
+        buf = bytearray(b"0") * (width * period)
+        buf[width - 1 :: width] = format(plane, f"0{period}b")[::step].encode()
+        return exact.create_decimal(buf.decode())
 
     # starting from the top plane's slots, not from 0, spares an add that
     # would copy the whole operand while the slots are still alive
     folded = slots(planes[-1])
     for plane in reversed(planes[:-1]):
-        folded = _EXACT.add(_EXACT.add(folded, folded), slots(plane))
+        folded = exact.add(exact.add(folded, folded), slots(plane))
     return folded
 
 
@@ -412,10 +426,10 @@ def _correlations(
     planes_a: list[int], planes_b: list[int], period: int, count: int, bound: int
 ) -> memoryview:
     """The correlations C(0..count-1) of the strings whose count planes
-    are ``planes_a`` and ``planes_b``, as 4- or 8-byte cells, from one
-    exact product; no correlation exceeds ``bound``.  GMP multiplies
-    where it loads, ``decimal`` elsewhere, and both give the same cells.
-    """
+    are ``planes_a`` and ``planes_b``, as ``count`` 4- or 8-byte cells
+    and no more, from one exact product; no correlation exceeds
+    ``bound``.  GMP multiplies where it loads, ``decimal`` elsewhere, and
+    both give the same cells."""
     gmp = _load_gmp()
     engine = gmp.correlations if gmp else _decimal_correlations
     return engine(planes_a, planes_b, period, count, bound)
@@ -440,14 +454,20 @@ def _decimal_correlations(
     No slot exceeds ``bound``, so nothing carries between slots.  The
     digit columns of the text are then combined in every cell at once.
     """
+    # imported here, so that only a build with no libgmp loads it
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context
+
+    # exact integer arithmetic on decimals of any length; libmpdec
+    # multiplies long operands with a number-theoretic transform
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
     width = len(str(bound))
     digits = width * period
-    prod = _EXACT.multiply(
-        _folded(planes_a, period, width, reverse=True),
-        _folded(planes_b, period, width, reverse=False),
+    prod = exact.multiply(
+        _folded(planes_a, period, width, reverse=True, exact=exact),
+        _folded(planes_b, period, width, reverse=False, exact=exact),
     )
-    high = _EXACT.shift(prod, -digits)
-    folded = _EXACT.add(high, _EXACT.subtract(prod, _EXACT.shift(high, digits)))
+    high = exact.shift(prod, -digits)
+    folded = exact.add(high, exact.subtract(prod, exact.shift(high, digits)))
     # freed before the text and the cells are made: alive, they raised the
     # peak memory of a 1 MB build from 257 to 322 MiB
     del prod, high
@@ -463,33 +483,6 @@ def _decimal_correlations(
         cells = 10 * cells + int.from_bytes(column, sys.byteorder)
     data = cells.to_bytes(size * count, sys.byteorder)
     return memoryview(data).cast("I" if size == 4 else "Q")
-
-
-def _check_exact(
-    distances: Collection[int],
-    total: int | None,
-    length: int,
-    ones_a: int,
-    ones_b: int,
-    max_distance: int,
-) -> None:
-    """Raise unless the computed distances meet their exact integer
-    identities: the range and parity of each of ``distances``, and
-    ``total``, the sum of the full ensemble's distances (None when only
-    part of one period was computed)."""
-    problems = []
-    if total is not None:
-        expected_sum = length * (ones_a + ones_b) - 2 * ones_a * ones_b
-        if total != expected_sum:
-            problems.append(f"sum of distances {total} != {expected_sum}")
-    if min(distances) < 0 or max(distances) > max_distance:
-        problems.append(f"distances outside [0, {max_distance}]")
-    if any((d - ones_a - ones_b) % 2 for d in distances):
-        problems.append(f"distances of parity other than {(ones_a + ones_b) % 2}")
-    if problems:
-        raise ExactnessCheckFailed(
-            f"{length}-bit ensemble failed its exactness check: " + "; ".join(problems)
-        )
 
 
 def histogram(e: Ensemble) -> Histogram:

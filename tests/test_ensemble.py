@@ -1230,6 +1230,23 @@ def built(builds):
     return [(e.entries, e.values) for e in (build() for build in builds)]
 
 
+RANDOM_BITS = format(random.Random(29).getrandbits(4096), "04096b")
+
+# strings, n_shifts and the cells the product returns.  In the two
+# "full slots" cases every correlation is 2**s - 1, s the slot width: the
+# 7-bit string's 7 = 2**3 - 1 (mpz_mul: 64 does not divide 3 * 7), and
+# the pair's 63 = 2**6 - 1, whose cyclic product is residue class 0
+COUNTED_CELLS = {
+    "self": ((RANDOM_BITS, RANDOM_BITS), None, 4096 // 2 + 1),
+    "odd self": ((RANDOM_BITS[:4095],) * 2, None, 4095 // 2 + 1),
+    "pair": ((RANDOM_BITS, RANDOM_BITS[:2048]), None, 2048),
+    "partial self": ((RANDOM_BITS, RANDOM_BITS), 50, 4096 // 2 + 1),
+    "partial pair": ((RANDOM_BITS, RANDOM_BITS[:2048]), 3, 2048),
+    "full slots self": (("1" * 7,) * 2, None, 4),
+    "full slots pair": (("1" * 64, "1" * 63 + "0"), None, 64),
+}
+
+
 class TestEngines:
     @pytest.mark.parametrize("zeros", [0, 3])
     @pytest.mark.parametrize("ones", BINARY_EDGES)
@@ -1410,18 +1427,45 @@ class TestEngines:
         assert _gmp.load() is None
 
     def test_gmp_is_loaded_only_for_a_product(self):
+        # -S: a .pth file in site-packages (certifi's, for one) may import
+        # random before the script runs.  The command line loads none of
+        # ctypes, decimal or random; a partial build on the loop loads no
+        # ctypes, and a full build loads decimal only where GMP does not
+        # serve
         script = (
             "import sys\n"
             "import strtherm.cli\n"
-            "assert 'ctypes' not in sys.modules\n"
+            "assert not {'ctypes', 'decimal', 'random'} & set(sys.modules)\n"
             "from strtherm import ensemble, random_bitstring\n"
             "ensemble.build_self_ensemble(random_bitstring(4096, 0.5, 1), 100)\n"
             "assert 'ctypes' not in sys.modules\n"
             "ensemble.build_self_ensemble(random_bitstring(16384, 0.5, 1))\n"
-            "assert ('ctypes' in sys.modules) == (ensemble._load_gmp() is not None)\n"
+            "gmp = ensemble._load_gmp() is not None\n"
+            "assert ('ctypes' in sys.modules) == gmp\n"
+            "assert ('decimal' in sys.modules) != gmp\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(ensemble.__file__).parents[1])}
-        subprocess.run([sys.executable, "-c", script], check=True, env=env)
+        subprocess.run([sys.executable, "-S", "-c", script], check=True, env=env)
+
+    @pytest.mark.parametrize("name", ENGINES)
+    @pytest.mark.parametrize("case", list(COUNTED_CELLS))
+    def test_product_returns_the_counted_cells(self, case, name):
+        # each engine returns the cells the ensemble counts, no more, in a
+        # buffer of just those cells: g//2 + 1 in self mode, g in pair
+        # mode, and the whole distinct block for a partial build
+        strings, n_shifts, count = COUNTED_CELLS[case]
+        a, b = (from_bits(bits) for bits in strings)
+        with forced("product"), engine(name):
+            if a == b:
+                e = build_self_ensemble(a, n_shifts)
+            else:
+                e = build_pair_ensemble(a, b, n_shifts)
+        assert len(e.block) == count
+        assert len(e.block.obj) == e.block.nbytes
+        period = gcd(a.nbits, b.nbits)
+        planes_a, planes_b = ensemble._planes(a, period), ensemble._planes(b, period)
+        want = ensemble._shift_correlations(planes_a, planes_b, period, 0, count)
+        assert list(e.block) == want
 
     @needs_gmp
     @pytest.mark.parametrize(
