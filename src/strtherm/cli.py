@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import bitstring, ensemble, equilibrium, thermo
-from .errors import EmptyInput
+from .errors import EmptyInput, InvalidLength
 
 REPORT_VERSION = 1
 
@@ -52,7 +52,10 @@ def _load(path: str, bit_order: str, max_bits: int | None) -> bitstring.BitStrin
         raise EmptyInput(f"{path}: file is empty")
     b = bitstring.from_bytes(data, bit_order)
     if max_bits is not None:
-        b = bitstring.truncate(b, max_bits)
+        try:
+            b = bitstring.truncate(b, max_bits)
+        except InvalidLength as exc:
+            raise InvalidLength(f"{path}: {exc}") from None
     return b
 
 

@@ -87,12 +87,17 @@ def binomial_counts(m: EquilibriumModel, c: float) -> float:
     return _binomial_curve(m)(c)
 
 
+def _normal_terms(m: EquilibriumModel) -> tuple[float, float, float]:
+    """The normal curve's mean, peak count and spread 2*variance."""
+    if m.degenerate:
+        raise DegenerateModel("normal curve undefined for zero variance")
+    return m.mean_distance, m.peak_count, 2.0 * m.variance
+
+
 def _normal_curve(m: EquilibriumModel) -> Callable[[float], float]:
     """``normal_counts`` of ``m`` as a function of the distance, with
     every term that does not depend on it computed once."""
-    if m.degenerate:
-        raise DegenerateModel("normal curve undefined for zero variance")
-    mean, peak, spread = m.mean_distance, m.peak_count, 2.0 * m.variance
+    mean, peak, spread = _normal_terms(m)
 
     def counts(c: float) -> float:
         d = c - mean
@@ -134,12 +139,14 @@ def fit_quality(h: Histogram, m: EquilibriumModel) -> float:
     dominate) and divided by the peak count; 0 means a perfect match,
     random-like inputs stay well below structured ones.
     """
-    normal = _normal_curve(m)
+    mean, peak, spread = _normal_terms(m)
     total = 0.0
     for c, count in h.entries:
-        r = count - normal(c)
+        # normal_counts(m, c), inline
+        d = c - mean
+        r = count - peak * math.exp(-(d * d) / spread)
         total += r * r
-    return math.sqrt(total / len(h.entries)) / m.peak_count
+    return math.sqrt(total / len(h.entries)) / peak
 
 
 def model_curve(m: EquilibriumModel, max_distance: int) -> list[tuple[int, float, float]]:

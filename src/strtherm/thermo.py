@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ensemble import SELF_MODE, Histogram, without_self_match
-from .equilibrium import EquilibriumModel, fit
+from .equilibrium import EquilibriumModel, fit, fit_quality
 from .errors import DegenerateModel
 
 _LOG2_E = math.log2(math.e)
@@ -33,10 +33,16 @@ def energy_level(c: float, mean_distance: float, nbits: int) -> float:
 
 
 def internal_energy(h: Histogram, mean_distance: float) -> float:
-    """Average per-particle internal energy over the histogram."""
+    """Average per-particle internal energy over the histogram.
+
+    Each entry's term is ``energy_level``'s, with twice the mass
+    computed once.
+    """
+    mass2 = 2.0 * h.nbits
     total = 0.0
     for c, count in h.entries:
-        total += count * energy_level(c, mean_distance, h.nbits)
+        p = c - mean_distance
+        total += count * ((p * p) / mass2)
     return total / h.n_obs
 
 
@@ -51,13 +57,12 @@ def entropy(h: Histogram) -> tuple[float, float]:
     """
     n = h.n_obs
     m = h.nbits
+    log_m = math.lgamma(m + 1)
     occupation = math.lgamma(n + 1)
     arrangements = 0.0
     for c, count in h.entries:
         occupation -= math.lgamma(count + 1)
-        arrangements += count * (
-            math.lgamma(m + 1) - math.lgamma(c + 1) - math.lgamma(m - c + 1)
-        )
+        arrangements += count * (log_m - math.lgamma(c + 1) - math.lgamma(m - c + 1))
     s_thermo = _LOG2_E / n * occupation
     s_micro = 1.0 + _LOG2_E / n * arrangements
     return s_thermo, s_micro
@@ -151,7 +156,8 @@ def build_report(h: Histogram, model: EquilibriumModel | None = None) -> ThermoR
     """Run the full observed + equilibrium computation for one histogram.
 
     The model (mean, density, temperature) is fitted over every
-    observation; the observed averages then exclude the shift-0
+    observation; the observed fields are then ``internal_energy``,
+    ``entropy`` and ``fit_quality`` of the histogram without the shift-0
     self-comparison in self mode, which is no proper particle and would
     otherwise dominate the internal energy.
     """
@@ -160,7 +166,9 @@ def build_report(h: Histogram, model: EquilibriumModel | None = None) -> ThermoR
     mean = model.mean_distance
     obs = without_self_match(h) if h.mode == SELF_MODE else h
     if obs.n_obs > 0:
-        u_bar, s_thermo, s_micro, quality = _observed(obs, model)
+        u_bar = internal_energy(obs, mean)
+        s_thermo, s_micro = entropy(obs)
+        quality = None if model.degenerate else fit_quality(obs, model)
     else:
         # a single-observation ensemble holds only the self-match, and its
         # model is degenerate
@@ -191,41 +199,6 @@ def build_report(h: Histogram, model: EquilibriumModel | None = None) -> ThermoR
         nbits=h.nbits,
         n_obs=h.n_obs,
     )
-
-
-def _observed(
-    h: Histogram, model: EquilibriumModel
-) -> tuple[float, float, float, float | None]:
-    """``internal_energy(h, model.mean_distance)``, both parts of
-    ``entropy(h)`` and ``fit_quality(h, model)`` (None for a degenerate
-    model), from one pass over ``h.entries``.
-
-    Each sum takes its float operations in the order of those functions,
-    with each term that does not depend on the entry computed once, so
-    every result is the same to the bit.  The fit's normal count is
-    ``equilibrium._normal_curve``'s.
-    """
-    n, m = h.n_obs, h.nbits
-    mean = model.mean_distance
-    mass2 = 2.0 * m
-    log_m = math.lgamma(m + 1)
-    fitted = not model.degenerate
-    peak, spread = model.peak_count, 2.0 * model.variance
-    energy = arrangements = residuals = 0.0
-    occupation = math.lgamma(n + 1)
-    for c, count in h.entries:
-        p = c - mean
-        p2 = p * p
-        energy += count * (p2 / mass2)
-        occupation -= math.lgamma(count + 1)
-        arrangements += count * (log_m - math.lgamma(c + 1) - math.lgamma(m - c + 1))
-        if fitted:
-            r = count - peak * math.exp(-p2 / spread)
-            residuals += r * r
-    quality = math.sqrt(residuals / len(h.entries)) / peak if fitted else None
-    s_thermo = _LOG2_E / n * occupation
-    s_micro = 1.0 + _LOG2_E / n * arrangements
-    return energy / n, s_thermo, s_micro, quality
 
 
 class ReportField(NamedTuple):

@@ -225,6 +225,19 @@ class TestAnalyze:
             "mode:             pair",
         ]
 
+    def test_pair_bits_beyond_second_input_names_it(self, tmp_path, capsys):
+        a = tmp_path / "a.bin"
+        b = tmp_path / "b.bin"
+        gen_corpus("random", 100, 1, str(a))
+        gen_corpus("random", 50, 2, str(b))
+        rc = main(["analyze", str(a), "--pair", str(b), "--bits", "500"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"strtherm: error: {b}: truncation length must be in [1, 400], got 500\n"
+        )
+
     @pytest.mark.parametrize("count", [0, 3])
     def test_input_count_rejected(self, crafted_file, count):
         with pytest.raises(ValueError, match="one input, or two"):
@@ -257,6 +270,19 @@ class TestBatch:
         assert "missing.bin" in lines[2]
         # the failing row carries an error message and empty metrics
         assert lines[2].count(",,") >= 1
+
+    def test_bits_beyond_input_names_it_in_its_row(self, tmp_path, capsys):
+        long, short = tmp_path / "long.bin", tmp_path / "short.bin"
+        gen_corpus("random", 100, 1, str(long))
+        gen_corpus("random", 50, 2, str(short))
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"{long}\n{short}\n")
+        assert main(["batch", str(manifest), "--bits", "500", "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["error"] for row in rows] == [
+            "",
+            f"{short}: truncation length must be in [1, 400], got 500",
+        ]
 
     def test_empty_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "empty.txt"

@@ -1753,7 +1753,7 @@ class TestSplitLoop:
         assert sum(vals) == full_sum(a.nbits, a.ones, b.ones)
 
     @needs_gmp
-    def test_failed_child_raises_and_is_reaped(self):
+    def test_failed_worker_raises_after_every_thread_is_joined(self):
         # worker 1's own error reaches the caller, after every worker is
         # joined
         error = RuntimeError("worker fault")
@@ -1790,7 +1790,7 @@ class TestSplitLoop:
         assert threading.active_count() == threads
 
     @needs_gmp
-    def test_child_out_of_range_exits_two(self, tmp_path, capsys):
+    def test_worker_out_of_range_exits_two(self, tmp_path, capsys):
         path = tmp_path / "r.bin"
         path.write_bytes(random.Random(2).randbytes(64))
 

@@ -6,16 +6,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strtherm import thermo
 from strtherm.bitstring import from_bits, random_bitstring
 from strtherm.ensemble import (
+    PAIR_MODE,
+    SELF_MODE,
     Histogram,
     build_pair_ensemble,
     build_self_ensemble,
     histogram,
     without_self_match,
 )
-from strtherm.equilibrium import fit, fit_from_mean, fit_quality, normal_counts
+from strtherm.equilibrium import (
+    EquilibriumModel,
+    fit,
+    fit_from_mean,
+    fit_quality,
+    normal_counts,
+)
 from strtherm.errors import DegenerateModel
 from strtherm.thermo import (
     build_report,
@@ -57,6 +64,44 @@ def exact_arrangement_count(h: Histogram) -> int:
         omega //= factorial(count)
         omega *= (2 * comb(h.nbits, c)) ** count
     return omega
+
+
+# each statistic's loop as written before its entry-independent terms
+# were computed once, as the bit-for-bit reference for them
+def reference_internal_energy(h: Histogram, mean_distance: float) -> float:
+    total = 0.0
+    for c, count in h.entries:
+        total += count * energy_level(c, mean_distance, h.nbits)
+    return total / h.n_obs
+
+
+def reference_entropy(h: Histogram) -> tuple[float, float]:
+    n = h.n_obs
+    m = h.nbits
+    occupation = math.lgamma(n + 1)
+    arrangements = 0.0
+    for c, count in h.entries:
+        occupation -= math.lgamma(count + 1)
+        arrangements += count * (
+            math.lgamma(m + 1) - math.lgamma(c + 1) - math.lgamma(m - c + 1)
+        )
+    s_thermo = math.log2(math.e) / n * occupation
+    s_micro = 1.0 + math.log2(math.e) / n * arrangements
+    return s_thermo, s_micro
+
+
+def reference_fit_quality(h: Histogram, m: EquilibriumModel) -> float:
+    mean, peak, spread = m.mean_distance, m.peak_count, 2.0 * m.variance
+
+    def normal(c):
+        d = c - mean
+        return peak * math.exp(-(d * d) / spread)
+
+    total = 0.0
+    for c, count in h.entries:
+        r = count - normal(c)
+        total += r * r
+    return math.sqrt(total / len(h.entries)) / m.peak_count
 
 
 def exact_multinomial(h: Histogram) -> int:
@@ -320,22 +365,44 @@ class TestBuildReport:
                     st.integers(0, nbits), st.integers(1, 10**6), min_size=1
                 ),
             )
-        )
+        ),
+        st.sampled_from([SELF_MODE, PAIR_MODE]),
     )
-    @example((64, {0: 64}))
-    @example((64, {64: 3}))
-    @example((16, {0: 1, 8: 14, 16: 1}))
-    def test_one_pass_equals_the_public_functions(self, drawn):
+    @example((64, {0: 64}), SELF_MODE)
+    @example((64, {64: 3}), SELF_MODE)
+    @example((16, {0: 1, 8: 14, 16: 1}), SELF_MODE)
+    @example((64, {0: 64}), PAIR_MODE)
+    @example((64, {64: 3}), PAIR_MODE)
+    @example((16, {0: 1, 8: 14, 16: 1}), PAIR_MODE)
+    def test_report_is_the_public_functions(self, drawn, mode):
         # exactly equal, not close: the report's bytes must not move.  A
         # histogram of distances 0 alone, or nbits alone, is degenerate
         nbits, counts = drawn
         entries = tuple(sorted(counts.items()))
-        h = Histogram(entries, sum(counts.values()), nbits, nbits)
+        h = Histogram(entries, sum(counts.values()), nbits, nbits, mode)
         model = fit(h)
-        u_bar, s_thermo, s_micro, quality = thermo._observed(h, model)
-        assert u_bar == internal_energy(h, model.mean_distance)
-        assert (s_thermo, s_micro) == entropy(h)
-        assert quality == (None if model.degenerate else fit_quality(h, model))
+        mean = model.mean_distance
+        assert internal_energy(h, mean) == reference_internal_energy(h, mean)
+        assert entropy(h) == reference_entropy(h)
+        if model.degenerate:
+            with pytest.raises(DegenerateModel):
+                fit_quality(h, model)
+        else:
+            assert fit_quality(h, model) == reference_fit_quality(h, model)
+        # the report's observed fields are the three functions of the
+        # histogram it observes
+        r = build_report(h, model)
+        observed = (r.internal_energy, r.entropy_thermo, r.entropy_micro, r.fit_quality)
+        obs = without_self_match(h) if mode == SELF_MODE else h
+        if obs.n_obs == 0:
+            # only the self-match was observed
+            assert observed == (0.0, 0.0, 1.0, None)
+        else:
+            assert observed == (
+                internal_energy(obs, mean),
+                *entropy(obs),
+                None if model.degenerate else fit_quality(obs, model),
+            )
 
     def test_volume_is_sqrt_mass(self):
         r = build_report(full_histogram(random_bitstring(4096, 0.5, 1)))
