@@ -4,19 +4,17 @@ shift loop of a many-shift partial ensemble (``mpn_rshift`` and
 ``mpn_hamdist``), which threads of this process can share.  Both are
 bound to GMP 6 with 64-bit little-endian limbs, or to no libgmp at all.
 
-The correlations are the cyclic product a*b modulo 2**(s*g) - 1 of two
-operands of g slots of s bits, g the period.  ``mpn_mulmod_bnm1``
-computes a*b modulo B**rn - 1, B = 2**64, directly (``_cyclic``) where
-four conditions hold: 64 divides s*g = 64*rn, GMP's transform takes rn
-limbs unpadded (``mpn_mulmod_bnm1_next_size(rn) == rn``), both operands
-are nonzero, and their limb counts an and bn have an + bn > rn.  It
-returns residue class 0 as B**rn - 1, the value the fold gives, and
-needs a scratch of at most 2*rn + 4 limbs.  Elsewhere ``mpz_mul``
-computes the whole product and its high half is folded onto the low.
-``mpn_mulmod_bnm1`` is internal to GMP (``gmp-impl.h``), and its
-scratch size is known for version 6 only: a libgmp that lacks it, or
-any function here, or that is not version 6, or whose limbs are not
-little-endian 64-bit words, is not used.
+The correlations come from a*b modulo B**rn - 1 with B = 2**64, of two
+operands of s-bit slots (``correlations``): the cyclic product itself
+where GMP's transform takes the period's s*g bits unpadded, elsewhere a
+window of the plain product.  Where GMP would split that residue into
+halves of rn/2 limbs, ``_residue`` splits it itself, to free the
+operands first, and multiplies the halves with ``mpn_mulmod_bnm1`` and
+``mpn_mul_fft``; elsewhere one ``mpn_mulmod_bnm1`` takes the operands
+whole.  These functions are internal to GMP (``gmp-impl.h``), and the
+scratch size of the first is known for version 6 only: a libgmp that
+lacks one, or any function here, or that is not version 6, or whose
+limbs are not little-endian 64-bit words, is not used.
 
 ``ensemble`` imports this module on the first build that needs either, so
 that importing the command line loads neither ``ctypes`` nor libgmp.
@@ -45,8 +43,6 @@ from ctypes import (
 from functools import partial
 from types import SimpleNamespace
 
-from .errors import ExactnessCheckFailed
-
 # the library's names on Linux and on macOS; ctypes.util.find_library is
 # not used, since it runs ldconfig or a compiler in a subprocess
 _SONAMES = ("libgmp.so.10", "libgmp.10.dylib")
@@ -72,11 +68,17 @@ _FUNCTIONS = {
         c_void_p,
         [c_void_p, POINTER(c_size_t), c_int, c_size_t, c_int, c_size_t, _MPZ],
     ),
-    "mul": (None, [_MPZ, _MPZ, _MPZ]),
     "mul_2exp": (None, [_MPZ, _MPZ, c_ulong]),
     "add": (None, [_MPZ, _MPZ, _MPZ]),
+    "sub": (None, [_MPZ, _MPZ, _MPZ]),
+    "add_ui": (None, [_MPZ, _MPZ, c_ulong]),
+    "sub_ui": (None, [_MPZ, _MPZ, c_ulong]),
+    "setbit": (None, [_MPZ, c_ulong]),
+    "tstbit": (c_int, [_MPZ, c_ulong]),
+    "cmp": (c_int, [_MPZ, _MPZ]),
     "tdiv_q_2exp": (None, [_MPZ, _MPZ, c_ulong]),
     "tdiv_r_2exp": (None, [_MPZ, _MPZ, c_ulong]),
+    "realloc2": (None, [_MPZ, c_ulong]),
     "sizeinbase": (c_size_t, [_MPZ, c_int]),
     "roinit_n": (_MPZ, [_MPZ, c_void_p, c_long]),
 }
@@ -93,6 +95,9 @@ _MPN_FUNCTIONS = {
         [c_void_p, c_long, c_void_p, c_long, c_void_p, c_long, c_void_p],
     ),
     "mulmod_bnm1_next_size": (c_long, [c_long]),
+    "mul_fft": (c_ulong, [c_void_p, c_long, c_void_p, c_long, c_void_p, c_long, c_int]),
+    "fft_best_k": (c_int, [c_long, c_int]),
+    "fft_next_size": (c_long, [c_long, c_int]),
 }
 
 # the digits of a plane's binary text to the words' bytes 0 and 1
@@ -155,57 +160,72 @@ def correlations(
     bound: int,
 ) -> memoryview:
     """The correlations C(0..count-1) of two strings' count planes, as 4-
-    or 8-byte cells, from one product of two ``period``-slot operands.
+    or 8-byte cells, from one product modulo 2**N - 1 (``_residue``).
 
     The slots are the binary twin of ``ensemble._decimal_correlations``'
-    digit slots: s bits wide, s the bit length of ``bound`` (at least 1),
-    which no correlation exceeds, so the product modulo 2**(s*period) - 1
-    holds C(n) in slot ``period - 1 - n`` with nothing carried between
-    slots.  ``_cyclic`` computes that residue where it can; elsewhere
-    ``mpz_mul`` computes the whole product and the high half is folded
-    onto the low.  The residue of a nonzero product is never 0: where
-    every C(n) is 2**s - 1 both give 2**(s*period) - 1.  Only its top
-    ``count`` slots are exported, into a buffer of ``count`` cells.
+    digit slots, s = (bound + 1).bit_length() bits wide, so that bound
+    + 1 < 2**s.  With g the period, a holds count A(j) at text position
+    j in slot j.  b holds the counts B(0..g-1) and then B(0..e-1) again,
+    e the extension, position i in slot g + e - 1 - i.  Term A(j)*B(i)
+    lands in slot g - 1 + e - (i - j).  For n <= e, i = j + n < g + e
+    for every j, so slot g - 1 + e - n of the plain product a*b is C(n).
+    Every slot is a sum of terms with one difference i - j, part of one
+    correlation, so at most ``bound`` < 2**s - 1, and nothing carries.
+
+    ``_residue`` computes a*b modulo 2**N - 1, N = 64*rn:
+    - e = 0 where GMP's transform takes s*g bits unpadded
+      (``_unpadded``), and N = s*g.  The residue is the cyclic product,
+      whose slot g - 1 - n holds C(n) for every n.
+    - e = count - 1 elsewhere, the window, with N >= s*(g + e + 1).
+      a*b has slots up to 2g + e - 2, so it is below 2**(s*(2g + e - 1)),
+      and the bits from N up wrap onto a value below 2**(s*(g - 2)).
+      Added to the low s*(g - 2) bits, it carries at most 1 into slot
+      g - 2.  That slot holds at most 2**s - 2, so the carry stops there,
+      and slots g - 1 .. g - 1 + e, the count cells, keep their C(n).
+    On both routes the residue is below 2**N, and the count cells hold
+    values of at most 2**s - 2, so not every bit is set: it is below
+    2**N - 1.  It is 0 only where a*b is, that is where an operand is.
+    ``mpn_mulmod_bnm1`` returns 0 for a zero operand and represents
+    residue 0 of two nonzero operands as 2**N - 1, which cannot arise,
+    and ``_residue``'s halves return the residue in [0, 2**N - 1): what
+    either returns is that residue.  Both operands are laid out at
+    their full limb counts, so 0 < bn <= an <= rn and an + bn > rn / 2,
+    as GMP requires.
+
+    Cells 0..count-1 are slots g - 1 + e down to g + e - count: the
+    residue is shifted right past the rest and cut to s*count bits, so
+    that ``mpz_export`` writes within the cells.
     """
-    slot = max(1, bound.bit_length())
+    slot = (bound + 1).bit_length()
     size = 4 if slot <= 32 else 8
     nails = 8 * size - slot
+    if _unpadded(gmp, slot * period):
+        extension, rn = 0, slot * period // 64
+    else:
+        extension = count - 1
+        rn = gmp.mulmod_bnm1_next_size(-(-slot * (period + count) // 64))
     a, b, scratch = _Mpz(), _Mpz(), _Mpz()
     for z in (a, b, scratch):
         gmp.init(z)
     try:
         # a's slot j holds the count at text position j, b's at position
-        # period - 1 - j: a's words go in lowest first, b's highest first
-        # and, in self mode, from the same words
+        # period - 1 + extension - j: a's words go in lowest first, b's
+        # highest first and, in self mode, from the same words
         if planes_a is planes_b:
-            _operands(gmp, ((a, -1), (b, 1)), scratch, planes_a, period, size, nails)
+            targets = ((a, -1), (b, 1))
+            _operands(gmp, targets, scratch, planes_a, period, extension, size, nails)
         else:
-            _operands(gmp, ((a, -1),), scratch, planes_a, period, size, nails)
-            _operands(gmp, ((b, 1),), scratch, planes_b, period, size, nails)
-        # the cyclic product's limbs stay alive until the shift
-        product, limbs = _cyclic(gmp, a, b, slot * period)
-        if product is None:
-            gmp.mul(a, a, b)
-            gmp.tdiv_r_2exp(scratch, a, slot * period)
-            gmp.tdiv_q_2exp(a, a, slot * period)
-            gmp.add(a, a, scratch)
-            product = a
-        # cells 0..count-1 are the top count slots: the rest are shifted out
-        gmp.tdiv_q_2exp(a, product, slot * (period - count))
-        # the product's slots, those shifted out included: mpz_export
-        # writes every word the value needs, and any past the period's
-        # cells would land before the buffer
-        words = period - count + -(-gmp.sizeinbase(a, 2) // slot)
-        if words > period:
-            raise ExactnessCheckFailed(
-                f"the folded product needs {words} slots, more than {period}"
-            )
+            _operands(gmp, ((a, -1),), scratch, planes_a, period, 0, size, nails)
+            _operands(gmp, ((b, 1),), scratch, planes_b, period, extension, size, nails)
+        an, bn = -(-slot * period // 64), -(-slot * (period + extension) // 64)
+        product = _residue(gmp, scratch, rn, b, bn, a, an)
+        gmp.tdiv_q_2exp(a, product, slot * (period + extension - count))
+        gmp.tdiv_r_2exp(a, a, slot * count)
         # highest slot first, right-aligned in zeroed cells, so that cell
-        # n holds slot period - 1 - n
+        # n holds C(n)
+        words = -(-gmp.sizeinbase(a, 2) // slot)
         cells = bytearray(size * count)
-        pointer = _pointer(cells)
-        start = ctypes.addressof(pointer) + size * (period - words)
-        gmp.export(start, None, 1, size, 0, nails, a)
+        gmp.export(_address(cells) + size * (count - words), None, 1, size, 0, nails, a)
     finally:
         for z in (a, b, scratch):
             gmp.clear(z)
@@ -213,42 +233,115 @@ def correlations(
     return memoryview(cells).cast("I" if size == 4 else "Q")
 
 
-def _cyclic(
-    gmp: SimpleNamespace, a: _Mpz, b: _Mpz, bits: int
-) -> tuple[_Mpz | None, bytearray | None]:
-    """a*b modulo 2**bits - 1 from one ``mpn_mulmod_bnm1``, as a read-only
-    mpz over the result limbs and those limbs, which must outlive it; or
-    (None, None) where the cyclic product does not serve.  ``gmp`` holds
-    the functions that ``load`` binds on GMP 6 with 64-bit little-endian
-    limbs; where there is no such library, ``decimal`` multiplies.
+def _residue(
+    gmp: SimpleNamespace, r: _Mpz, rn: int, a: _Mpz, an: int, b: _Mpz, bn: int
+) -> _Mpz:
+    """a*b modulo B**rn - 1, B = 2**64, as an mpz that reads ``r``'s
+    limbs, for 0 < bn <= an <= rn and an + bn > rn / 2, a and b first
+    cut to an and bn limbs.
 
-    It serves where ``bits`` is rn 64-bit limbs, a size that GMP's cyclic
-    transform takes unpadded (``mpn_mulmod_bnm1_next_size(rn) == rn``),
-    and the operands have an and bn limbs with 0 < bn <= an <= rn and
-    an + bn > rn.  GMP takes no operand of 0, which has no limbs, and its
-    recursion assumes an + bn > rn / 2.  For nonzero operands GMP returns
-    residue 0 as 2**bits - 1, which is what the fold gives.  The scratch
-    holds GMP 6's ``mpn_mulmod_bnm1_itch``, at most 2 * rn + 4 limbs,
-    plus a margin.
+    GMP splits a cyclic product of rn limbs into halves of n = rn / 2
+    limbs, one modulo B**n - 1 and one modulo B**n + 1 in its transform.
+    Where n is a size that transform takes, this function makes the split
+    itself, so that a and b are freed before either half is multiplied.
+    Each operand lo + hi*B**n becomes lo + hi modulo B**n - 1, where B**n
+    is 1, and lo - hi modulo B**n + 1, where it is -1.  Then
+    ``mpn_mulmod_bnm1`` gives xm modulo B**n - 1 and ``mpn_mul_fft`` xp in
+    [0, B**n] modulo B**n + 1.  As B**n + 1 is 2 modulo B**n - 1, t = (xm
+    - xp) / 2 modulo B**n - 1, in [0, B**n - 2], makes xp + (B**n + 1)*t
+    the residue, below B**rn - 1.  Elsewhere one ``mpn_mulmod_bnm1`` takes
+    a and b whole.
     """
-    if bits % 64:
-        return None, None
-    rn = bits // 64
-    high, low = (a, b) if a.size >= b.size else (b, a)
-    an, bn = high.size, low.size
-    if not 0 < bn <= an <= rn or an + bn <= rn:
-        return None, None
-    if gmp.mulmod_bnm1_next_size(rn) != rn:
-        return None, None
-    limbs = bytearray(8 * rn)
-    scratch = bytearray(8 * (2 * rn + 4 + 64))
-    gmp.mulmod_bnm1(
-        _address(limbs), rn, high.limbs, an, low.limbs, bn, _address(scratch)
-    )
-    del scratch
+    for z, limbs in ((a, an), (b, bn)):
+        _padded(gmp, z, limbs)
+    n = rn // 2
+    k = gmp.fft_best_k(n, 0)
+    if rn % 2 or gmp.fft_next_size(n, k) != n:
+        return _mulmod(gmp, r, rn, a, an, b, bn)
+    mpzs = [_Mpz() for _ in range(8)]
+    m, high, xm, xp, am, ap, bm, bp = mpzs
+    for z in mpzs:
+        gmp.init(z)
+    try:
+        for z, minus, plus in ((a, am, ap), (b, bm, bp)):
+            gmp.tdiv_q_2exp(high, z, 64 * n)
+            gmp.tdiv_r_2exp(z, z, 64 * n)
+            gmp.add(minus, z, high)
+            if gmp.cmp(z, high) < 0:  # lo + B**n + 1 - hi
+                gmp.setbit(z, 64 * n)
+                gmp.add_ui(z, z, 1)
+            gmp.sub(plus, z, high)
+            gmp.realloc2(z, 64)  # frees the operand's limbs
+            # lo + hi < 2*B**n: its bit 64*n goes back in at bit 0
+            gmp.tdiv_q_2exp(high, minus, 64 * n)
+            gmp.tdiv_r_2exp(minus, minus, 64 * n)
+            gmp.add(minus, minus, high)
+        gmp.realloc2(high, 64)
+        for z, limbs in ((am, n), (bm, n), (ap, n + 1), (bp, n + 1)):
+            _padded(gmp, z, limbs)
+        low = _mulmod(gmp, xm, n, am, n, bm, n)
+        # am and bm freed, and xp's limbs for mpn_mul_fft to write
+        for z, limbs in ((am, 1), (bm, 1), (xp, n + 1)):
+            gmp.realloc2(z, 64 * limbs)
+        carry = gmp.mul_fft(
+            xp.limbs, n, ap.limbs, max(n, ap.size), bp.limbs, max(n, bp.size), k
+        )
+        ctypes.c_uint64.from_address(xp.limbs + 8 * n).value = carry
+        top = _Mpz()
+        gmp.roinit_n(top, xp.limbs, n + 1)
+        for z in (ap, bp):
+            gmp.realloc2(z, 64)
+        # t in r, then xp + t + t*B**n
+        gmp.setbit(m, 64 * n)
+        gmp.sub_ui(m, m, 1)
+        gmp.sub(r, low, top)
+        while r.size < 0:
+            gmp.add(r, r, m)
+        if gmp.cmp(r, m) == 0:
+            gmp.sub(r, r, m)
+        if gmp.tstbit(r, 0):
+            gmp.add(r, r, m)
+        gmp.tdiv_q_2exp(r, r, 1)
+        gmp.add(m, r, top)
+        gmp.mul_2exp(r, r, 64 * n)
+        gmp.add(r, r, m)  # in place, over the low n + 1 limbs
+    finally:
+        for z in mpzs:
+            gmp.clear(z)
+    return r
+
+
+def _mulmod(
+    gmp: SimpleNamespace, r: _Mpz, rn: int, a: _Mpz, an: int, b: _Mpz, bn: int
+) -> _Mpz:
+    """``_residue`` from one ``mpn_mulmod_bnm1`` of a and b at their full
+    limb counts, into ``r``'s limbs."""
+    # r's limbs are left unwritten, so that no page of them counts until
+    # GMP writes it: the upper half comes last, after GMP has freed its
+    # transform's buffers
+    gmp.realloc2(r, 64 * rn)
+    # GMP 6's mpn_mulmod_bnm1_itch, at most 2 * rn + 4 limbs, and a margin
+    work = bytearray(8 * (2 * rn + 4 + 64))
+    gmp.mulmod_bnm1(r.limbs, rn, a.limbs, an, b.limbs, bn, _address(work))
+    # GMP writes min(rn, an + bn) limbs: the residue, with no limb above
     product = _Mpz()
-    gmp.roinit_n(product, _address(limbs), rn)
-    return product, limbs
+    gmp.roinit_n(product, r.limbs, min(rn, an + bn))
+    return product
+
+
+def _padded(gmp: SimpleNamespace, z: _Mpz, limbs: int) -> None:
+    """Give ``z`` ``limbs`` limbs, those above its size zeroed.  A count
+    wider than its slot, which carries past the operand's limbs, arises
+    only beside a string with no set bit (bound 0), whose product is 0
+    whatever realloc2 leaves of this operand."""
+    gmp.realloc2(z, 64 * limbs)
+    ctypes.memset(z.limbs + 8 * z.size, 0, 8 * (limbs - z.size))
+
+
+def _unpadded(gmp: SimpleNamespace, bits: int) -> bool:
+    """Whether GMP's cyclic transform takes ``bits`` bits as they are: 64
+    divides them and ``mpn_mulmod_bnm1_next_size`` keeps their limbs."""
+    return bits % 64 == 0 and gmp.mulmod_bnm1_next_size(bits // 64) == bits // 64
 
 
 def shift_kernel(
@@ -372,22 +465,29 @@ def _operands(
     scratch: _Mpz,
     planes: list[int],
     period: int,
+    extension: int,
     size: int,
     nails: int,
 ) -> None:
     """Set each ``z`` of ``targets``, pairs ``(z, order)``, to the integer
-    whose ``period`` slots hold the counts that ``planes`` hold in binary:
-    each plane's bits are laid out once as 0/1 words whose nails leave
-    one slot each, in the reading order of its binary text, and go into
-    each ``z`` with the first word lowest (``order`` -1) or highest (1).
-    Each lower plane is added to twice the planes above it, with carries
+    whose slots hold the counts that ``planes`` hold in binary: each
+    plane's bits are laid out once as 0/1 words whose nails leave one
+    slot each, in the reading order of its binary text and then its first
+    ``extension`` bits again.  The first ``period`` words go into ``z``
+    lowest first (``order`` -1), or all of them highest first (1).  Each
+    lower plane is added to twice the planes above it, with carries
     between slots."""
-    words = bytearray(size * period)
+    words = bytearray(size * (period + extension))
     pointer = _pointer(words)
     for i, plane in enumerate(reversed(planes)):
-        words[::size] = format(plane, f"0{period}b").encode().translate(_BITS)
+        words[: size * period : size] = (
+            format(plane, f"0{period}b").encode().translate(_BITS)
+        )
+        if extension:  # an empty slice assignment would resize the words
+            words[size * period :: size] = words[: size * extension : size]
         for z, order in targets:
-            gmp.import_(scratch if i else z, period, order, size, -1, nails, pointer)
+            n = period if order < 0 else period + extension
+            gmp.import_(scratch if i else z, n, order, size, -1, nails, pointer)
             if i:
                 gmp.mul_2exp(z, z, 1)
                 gmp.add(z, z, scratch)

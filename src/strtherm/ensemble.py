@@ -428,8 +428,10 @@ def _correlations(
     """The correlations C(0..count-1) of the strings whose count planes
     are ``planes_a`` and ``planes_b``, as ``count`` 4- or 8-byte cells
     and no more, from one exact product; no correlation exceeds
-    ``bound``.  GMP multiplies where it loads, ``decimal`` elsewhere, and
-    both give the same cells."""
+    ``bound``.  Where libgmp loads, GMP's cyclic product computes the
+    period's cyclic correlation, or a window of the plain product that
+    holds the ``count`` cells (``_gmp.correlations``); elsewhere
+    ``decimal`` multiplies and folds.  Both give the same cells."""
     gmp = _load_gmp()
     engine = gmp.correlations if gmp else _decimal_correlations
     return engine(planes_a, planes_b, period, count, bound)

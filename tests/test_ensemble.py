@@ -14,6 +14,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from engines import gmp_window
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -363,20 +364,20 @@ needs_gmp = pytest.mark.skipif(
     GMP is None, reason="no libgmp 6 with 64-bit little-endian limbs"
 )
 
-# the product's engines: the system GMP where it loads, with its cyclic
-# product and with mpz_mul, and decimal
-ENGINES = ("gmp cyclic", "gmp mul") * bool(GMP) + ("decimal",)
+# the product's engines: the system GMP where it loads, on the route it
+# picks and on its window, and decimal
+ENGINES = ("gmp cyclic", "gmp window") * bool(GMP) + ("decimal",)
 
 
 @contextlib.contextmanager
 def engine(name):
-    """Multiply with ``name``: GMP with its cyclic product where that
-    serves, GMP's mpz_mul with the cyclic product refused, or decimal
-    with the loader finding no GMP."""
+    """Multiply with ``name``: GMP's cyclic product, exact where its
+    transform takes the operands unpadded; GMP's window at every size; or
+    decimal with the loader finding no GMP."""
     if name == "gmp cyclic":
         yield
-    elif name == "gmp mul":
-        with mock.patch.object(_gmp, "_cyclic", return_value=(None, None)):
+    elif name == "gmp window":
+        with gmp_window():
             yield
     else:
         with mock.patch.object(ensemble, "_load_gmp", return_value=None):
@@ -1233,9 +1234,9 @@ def built(builds):
 RANDOM_BITS = format(random.Random(29).getrandbits(4096), "04096b")
 
 # strings, n_shifts and the cells the product returns.  In the two
-# "full slots" cases every correlation is 2**s - 1, s the slot width: the
-# 7-bit string's 7 = 2**3 - 1 (mpz_mul: 64 does not divide 3 * 7), and
-# the pair's 63 = 2**6 - 1, whose cyclic product is residue class 0
+# "full slots" cases every correlation is the bound and 2**k - 1: the
+# 7-bit string's 7 = 2**3 - 1 (the window: 64 does not divide 4 * 7), and
+# the pair's 63 = 2**6 - 1 (exact: 7 * 64 bits are 7 limbs)
 COUNTED_CELLS = {
     "self": ((RANDOM_BITS, RANDOM_BITS), None, 4096 // 2 + 1),
     "odd self": ((RANDOM_BITS[:4095],) * 2, None, 4095 // 2 + 1),
@@ -1395,11 +1396,11 @@ class TestEngines:
         monkeypatch.setattr(_gmp, "_limb_bits", lambda lib: variable(lib.bits))
         monkeypatch.setattr(_gmp, "_version", lambda lib: variable(lib.version))
         rejected = {
-            "no mpz_mul": library("__gmpz_mul"),
             "no mpn_hamdist": library("__gmpn_hamdist"),
             "no mulmod_bnm1": library("__gmpn_mulmod_bnm1"),
             "no mulmod_bnm1_next_size": library("__gmpn_mulmod_bnm1_next_size"),
             "no roinit_n": library("__gmpz_roinit_n"),
+            "no mul_fft": library("__gmpn_mul_fft"),
             "32-bit limbs": library(bits=32),
             "GMP 5.1.3": library(version="5.1.3"),
             "GMP 7.0.0": library(version="7.0.0"),
@@ -1495,16 +1496,29 @@ class TestEngines:
 
     @needs_gmp
     def test_gmp_refuses_a_product_wider_than_its_cells(self):
-        # a bound below the true one: three set bits per residue in 1-bit
-        # slots carry past the top slot, and nothing may be exported
-        # beyond the period's cells
-        with pytest.raises(ExactnessCheckFailed, match="needs 12 slots, more than 8"):
-            GMP.correlations([255, 255], [255, 255], 8, 8, 1)
+        # a bound below the true one.  Three set bits per residue in 2-bit
+        # slots carry past the top slot, but every engine returns just the
+        # period's cells.  Slots too narrow in a build corrupt its
+        # cells, and the build's checks refuse them on every route
+        for name in ENGINES:
+            with engine(name):
+                cells = ensemble._correlations([255, 255], [255, 255], 8, 8, 1)
+            assert len(cells) == 8 and cells.nbytes == len(cells.obj), name
+        correlations = ensemble._correlations
+
+        def narrowed(planes_a, planes_b, period, count, bound):
+            return correlations(planes_a, planes_b, period, count, bound // 16)
+
+        b = random_bitstring(4096, 0.5, 3)
+        for name in ENGINES:
+            with forced("product"), engine(name), mock.patch.object(
+                ensemble, "_correlations", narrowed
+            ), pytest.raises(ExactnessCheckFailed):
+                build_self_ensemble(b)
 
 
 # one set bit at the start of a 1 KB string and one at the end of another:
-# each operand of their full pair's product is one limb, and
-# an + bn = 2 <= rn = 128, so GMP multiplies them with mpz_mul
+# each operand of their full pair's product is one nonzero limb
 OPPOSITE_ENDS = (b"\x80" + bytes(1023), bytes(1023) + b"\x01")
 
 
@@ -1512,10 +1526,10 @@ def random_bytes(size, seed):
     return random.Random(seed).randbytes(size)
 
 
-# inputs of one full ensemble each, and whether GMP multiplies them with
-# the cyclic product (else with mpz_mul): 64 divides s*g and GMP's
-# transform takes rn limbs unpadded for every power-of-two period here.
-# Each takes the product by default but 100 B, which the test forces
+# inputs of one full ensemble each, and whether GMP takes them exactly
+# (else on its window): 64 divides s*g and GMP's transform takes rn limbs
+# unpadded.  Each takes the product by default but 100 B, which the test
+# forces
 DISPATCH = {
     "1 KB self": ((random_bytes(1024, 1),), True),
     "16 KB self": ((random_bytes(16384, 2),), True),
@@ -1524,8 +1538,11 @@ DISPATCH = {
     "1000 B self": ((random_bytes(1000, 5),), False),
     # s*g = 9 * 800 bits is no whole number of limbs
     "100 B self": ((random_bytes(100, 6),), False),
-    # an operand of 0 has no limbs
-    "all-zero": ((bytes(1024),), False),
+    # a zero operand: 1-bit slots, 128 limbs, and 125 padded to 128
+    "all-zero": ((bytes(1024),), True),
+    "1000 B all-zero": ((bytes(1000),), False),
+    # one-limb operands: 2-bit slots, 250 limbs padded to 256
+    "1000 B opposite ends": ((b"\x80" + bytes(999), bytes(999) + b"\x01"), False),
 }
 
 
@@ -1539,12 +1556,24 @@ def full_build(inputs):
 
 @contextlib.contextmanager
 def spy_multiplies(functions=GMP_FUNCTIONS):
-    """Spies on GMP's cyclic multiply and on its mpz_mul, as bound in
-    ``functions``."""
+    """Spies on the two multiplies bound in ``functions``: yields those on
+    ``mpn_mulmod_bnm1`` and on ``mpn_mul_fft``."""
     with mock.patch.object(
         functions, "mulmod_bnm1", wraps=functions.mulmod_bnm1
-    ) as cyclic, mock.patch.object(functions, "mul", wraps=functions.mul) as mul:
-        yield cyclic, mul
+    ) as cyclic, mock.patch.object(
+        functions, "mul_fft", wraps=functions.mul_fft
+    ) as fft:
+        yield cyclic, fft
+
+
+def assert_one_residue(cyclic, fft):
+    """One product: one ``mpn_mulmod_bnm1``, and where the residue was
+    split into halves one ``mpn_mul_fft`` of the other half, as many
+    limbs."""
+    assert cyclic.call_count == 1
+    assert fft.call_count <= 1
+    if fft.call_count:
+        assert fft.call_args.args[1] == cyclic.call_args.args[1]
 
 
 class LibraryWithout:
@@ -1560,61 +1589,180 @@ class LibraryWithout:
         return getattr(self.lib, name)
 
 
+def residue_operand(rng, limbs, n):
+    """An operand below B**limbs: 0, all ones, one bit, a multiple of
+    B**n - 1 or of B**n + 1, whose halves modulo B**n - 1 or B**n + 1
+    are 0, or random limbs."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return 2 ** (64 * limbs) - 1
+    if kind == 2:
+        return 1 << rng.randrange(64 * limbs)
+    if kind in (3, 4):
+        multiple = (2 ** (64 * n) + (1 if kind == 3 else -1)) * rng.randint(1, 3)
+        return multiple % 2 ** (64 * limbs)
+    return rng.getrandbits(64 * limbs)
+
+
+def mpz(value):
+    """A new mpz that holds ``value``, for the caller to clear."""
+    z = _gmp._Mpz()
+    GMP_FUNCTIONS.init(z)
+    size = 8 * max(1, -(-value.bit_length() // 64))
+    limbs = bytearray(value.to_bytes(size, "little"))
+    GMP_FUNCTIONS.import_(z, len(limbs) // 8, -1, 8, 0, 0, _gmp._address(limbs))
+    return z
+
+
+def mpz_value(z):
+    """The value of the nonnegative mpz ``z``."""
+    import ctypes
+
+    return int.from_bytes(ctypes.string_at(z.limbs, 8 * z.size), "little")
+
+
+@st.composite
+def window_cases(draw):
+    """Two strings, the same one in self mode, whose product GMP's window
+    must take exactly: an odd period, a period of 8 times an odd number,
+    every correlation 2**k - 1 (full slots), an all-zero string, or set
+    bits at opposite ends, which leave one-limb operands."""
+    kind = draw(st.sampled_from(["odd", "v2 3", "full slots", "zero", "ends"]))
+    if kind == "ends":
+        return draw(opposite_ends())
+    if kind == "full slots":
+        k = draw(st.integers(1, 8))
+        if draw(st.booleans()):
+            bits = "1" * (2**k - 1)
+            return bits, bits
+        return "1" * 2**k, "1" * (2**k - 1) + "0"
+    g = draw(st.integers(0, 30)) * 2 + 1
+    if kind == "v2 3":
+        g *= 8
+    p, q = draw(st.one_of(st.just((1, 1)), COPRIME))
+    a = draw(bit_strings(g * p))
+    if p == q == 1 and draw(st.booleans()):
+        return a, a
+    b = "0" * (g * q) if kind == "zero" else draw(bit_strings(g * q))
+    return a, b
+
+
 @needs_gmp
 class TestCyclicProduct:
     @pytest.mark.parametrize("name", list(DISPATCH))
     def test_dispatch(self, name):
-        inputs, cyclic = DISPATCH[name]
-        with forced("product"), spy_multiplies() as (cyclic_spy, mul):
+        inputs, exact = DISPATCH[name]
+        with forced("product"), spy_multiplies() as (cyclic, fft), mock.patch.object(
+            _gmp, "_unpadded", wraps=_gmp._unpadded
+        ) as unpadded:
             e = full_build(inputs)
-        assert (cyclic_spy.call_count, mul.call_count) == (
-            (1, 0) if cyclic else (0, 1)
-        )
+        assert unpadded.call_count == 1
+        assert_one_residue(cyclic, fft)
+        assert _gmp._unpadded(*unpadded.call_args.args) == exact
         with forced("product"), engine("decimal"):
             assert e == full_build(inputs)
 
-    def test_opposite_ends_pair_takes_mpz_mul(self):
-        # GMP's cyclic product would read limbs it was not given here, and
-        # may crash the process: the build runs in a child of its own
-        script = (
-            "import json, sys\n"
-            "from unittest import mock\n"
-            "from strtherm import ensemble\n"
-            "from strtherm.bitstring import from_bytes\n"
-            "gmp = ensemble._load_gmp().correlations.args[0]\n"
-            "a = from_bytes(b'\\x80' + bytes(1023))\n"
-            "b = from_bytes(bytes(1023) + b'\\x01')\n"
-            "with mock.patch.object(gmp, 'mulmod_bnm1', "
-            "wraps=gmp.mulmod_bnm1) as cyclic, "
-            "mock.patch.object(gmp, 'mul', wraps=gmp.mul) as mul:\n"
-            "    e = ensemble.build_pair_ensemble(a, b)\n"
-            "json.dump([cyclic.call_count, mul.call_count, e.entries], sys.stdout)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(ensemble.__file__).parents[1])}
-        child = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert child.returncode == 0, child.stderr
-        cyclic, mul, entries = json.loads(child.stdout)
-        assert (cyclic, mul) == (0, 1)
+    def test_opposite_ends_pair_on_both_routes(self):
+        # 2-bit slots make 256 limbs, which GMP takes exactly, or on the
+        # window where forced: either way one residue of the operands at
+        # their full limb counts, one nonzero limb each
         with engine("decimal"):
             want = full_build(OPPOSITE_ENDS)
-        assert [tuple(entry) for entry in entries] == list(want.entries)
+        for name in ENGINES[:2]:
+            with forced("product"), engine(name), spy_multiplies() as (cyclic, fft):
+                e = full_build(OPPOSITE_ENDS)
+            assert_one_residue(cyclic, fft)
+            assert e.entries == want.entries, name
+
+    @settings(max_examples=80, deadline=None)
+    @given(window_cases())
+    @example(("1" * 64, "1" * 63 + "0"))
+    @example(("1" * 7, "1" * 7))
+    @example(("0" * 8, "0" * 8))
+    def test_window_agrees_with_decimal(self, pair):
+        # the counts a full build passes: g // 2 + 1 cells in self mode,
+        # g in pair mode
+        a_bits, b_bits = pair
+        a = from_bits(a_bits)
+        b = a if a_bits is b_bits else from_bits(b_bits)
+        length, period = lcm(a.nbits, b.nbits), gcd(a.nbits, b.nbits)
+        planes_a = ensemble._planes(a, period)
+        planes_b = planes_a if b is a else ensemble._planes(b, period)
+        count = period // 2 + 1 if b is a else period
+        bound = min(a.ones * (length // a.nbits), b.ones * (length // b.nbits))
+        args = (planes_a, planes_b, period, count, bound)
+        with engine("decimal"):
+            want = list(ensemble._correlations(*args))
+        assert want == ensemble._shift_correlations(*args[:3], 0, count)
+        for name in ENGINES[:2]:
+            with engine(name), spy_multiplies() as (cyclic, fft):
+                assert list(ensemble._correlations(*args)) == want, name
+            assert_one_residue(cyclic, fft)
+
+    def test_window_margins(self):
+        # the window's two margins, each needed by one build below.  Three
+        # chunks of 11 set bits against "10010000000" take 3-bit slots and
+        # one limb: the wrapped sums carry into the last cell unless rn
+        # holds a slot more than the window.  Every correlation of 2**16
+        # set bits against 2**16 - 1 is 2**16 - 1: 16-bit slots would set
+        # every bit of the residue, class 0, which the split residue
+        # returns as 0; bound + 1 < 2**s leaves 17-bit slots
+        cases = [("1" * 33, "10010000000"), ("1" * 2**16, "1" * (2**16 - 1) + "0")]
+        for a_bits, b_bits in cases:
+            a, b = from_bits(a_bits), from_bits(b_bits)
+            with forced("product"), engine("decimal"):
+                want = build_pair_ensemble(a, b)
+            for name in ENGINES[:2]:
+                with forced("product"), engine(name):
+                    assert build_pair_ensemble(a, b) == want, (name, len(a_bits))
+
+    def test_residue_is_the_product_modulo(self):
+        # _residue against Python ints, on sizes that GMP takes whole and
+        # sizes it splits into halves of n limbs, with operands whose
+        # halves are 0 or B**n - 1 and products in residue class 0.  A
+        # split residue is always in [0, B**rn - 1)
+        gmp = GMP_FUNCTIONS
+        rng = random.Random(5)
+        routes = Counter()
+        for target in [*range(1, 40), 64, 100, 250, 1000, 1536, 4096]:
+            rn = gmp.mulmod_bnm1_next_size(target)
+            n = rn // 2
+            split = rn % 2 == 0 and gmp.fft_next_size(n, gmp.fft_best_k(n, 0)) == n
+            routes[split] += 1
+            modulus = 2 ** (64 * rn) - 1
+            for _ in range(8):
+                an = rng.randint(rn // 4 + 1, rn)
+                bn = rng.randint(max(1, rn // 2 + 1 - an), an)
+                values = [residue_operand(rng, limbs, n) for limbs in (an, bn)]
+                a, b, r = (mpz(v) for v in (*values, 0))
+                try:
+                    with spy_multiplies() as (cyclic, fft):
+                        got = mpz_value(_gmp._residue(gmp, r, rn, a, an, b, bn))
+                finally:
+                    for z in (a, b, r):
+                        gmp.clear(z)
+                assert_one_residue(cyclic, fft)
+                assert fft.call_count == split
+                want = values[0] * values[1] % modulus
+                # one mpn_mulmod_bnm1 returns class 0 of two nonzero
+                # operands as B**rn - 1
+                zero = not split and want == 0 and all(values) and got == modulus
+                assert got == want or zero, (rn, an, bn)
+        assert routes[True] and routes[False]
 
     def test_residue_class_zero(self):
-        # every C(n) is 63 = 2**6 - 1, so the residue modulo 2**384 - 1 of
-        # the product is 0, which GMP returns as 2**384 - 1: six limbs of
-        # ones, the same as the fold
+        # every C(n) is 63 = 2**6 - 1.  The slots are 7 bits wide, so that
+        # no residue of two nonzero operands is class 0, which GMP returns
+        # as 2**N - 1 (all ones, 127 in every cell) and the split
+        # residue as 0
         a, b = from_bytes(b"\xff" * 8), from_bytes(b"\xff" * 7 + b"\xfe")
         for name in ENGINES:
             with forced("product"), engine(name), spy_multiplies() as (cyclic, _):
                 e = build_pair_ensemble(a, b)
             assert e.entries == ((1, 64),), name
-            assert cyclic.called == (name == "gmp cyclic")
+            assert cyclic.call_count == (name != "decimal")
 
     @pytest.mark.parametrize(
         "missing, version",
@@ -1622,18 +1770,26 @@ class TestCyclicProduct:
             (("__gmpn_mulmod_bnm1",), None),
             (("__gmpn_mulmod_bnm1_next_size",), None),
             (("__gmpz_roinit_n",), None),
+            (("__gmpn_mul_fft",), None),
             ((), "5.1.3"),
             ((), "7.0.0"),
             ((), "6.0.0"),
         ],
-        ids=["no mulmod", "no next_size", "no roinit_n", "5.1.3", "7.0.0", "6.0.0"],
+        ids=[
+            "no mulmod",
+            "no next_size",
+            "no roinit_n",
+            "no mul_fft",
+            "5.1.3",
+            "7.0.0",
+            "6.0.0",
+        ],
     )
     def test_loader_falls_back_to_mpz_mul(self, missing, version, monkeypatch):
         # the system libgmp, a cyclic function hidden or its version
         # relabelled: without the cyclic product, or not GMP 6, it is not
         # used and the product falls back to decimal.  Labelled 6.0.0 it
-        # binds the cyclic product, which falls back to mpz_mul only for
-        # the sizes it refuses
+        # binds the cyclic product, which takes every size
         import ctypes
 
         cdll = ctypes.CDLL
@@ -1647,20 +1803,35 @@ class TestCyclicProduct:
         assert (loaded is not None) == (version == "6.0.0")
         # where nothing loads, the system libgmp must go uncalled
         functions = loaded.correlations.args[0] if loaded else GMP_FUNCTIONS
-        # 1 KB, which the cyclic product serves, and 1000 B, which it refuses
+        # 1 KB, which GMP takes exactly, and 1000 B, on its window
         for name in ("1 KB self", "1000 B self"):
-            inputs, cyclic = DISPATCH[name]
+            inputs, _ = DISPATCH[name]
             with forced("product"), mock.patch.object(
                 ensemble, "_load_gmp", return_value=loaded
-            ), spy_multiplies(functions) as (cyclic_spy, mul):
+            ), spy_multiplies(functions) as (cyclic, _):
                 e = full_build(inputs)
-            calls = (cyclic_spy.call_count, mul.call_count)
-            if loaded:
-                assert calls == ((1, 0) if cyclic else (0, 1)), name
-            else:
-                assert calls == (0, 0), name
+            assert cyclic.call_count == (loaded is not None), name
             with forced("product"), engine("decimal"):
                 assert e == full_build(inputs), name
+
+    def test_a_libgmp_without_mpz_mul_loads(self, monkeypatch):
+        # no kernel multiplies with mpz_mul, so it need not be there
+        import ctypes
+
+        cdll = ctypes.CDLL
+        monkeypatch.setattr(
+            ctypes, "CDLL", lambda name: LibraryWithout(cdll(name), ("__gmpz_mul",))
+        )
+        loaded = _gmp.load()
+        monkeypatch.undo()
+        assert loaded is not None
+        inputs, _ = DISPATCH["1000 B self"]
+        with forced("product"), mock.patch.object(
+            ensemble, "_load_gmp", return_value=loaded
+        ):
+            e = full_build(inputs)
+        with forced("product"), engine("decimal"):
+            assert e == full_build(inputs)
 
 
 @contextlib.contextmanager
