@@ -12,8 +12,7 @@ byte order, bit 0 is the most significant bit of byte 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .errors import EmptyInput, InvalidLength, InvalidShift
 
 MSB_FIRST = "msb_first"
@@ -23,23 +22,22 @@ LSB_FIRST = "lsb_first"
 _REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
-@dataclass(frozen=True)
-class BitString:
+class BitString(Record):
     """Immutable sequence of ``nbits`` bits with cached set-bit count.
 
     Safe to share across threads; every operation on it is pure.
     """
 
-    value: int
-    nbits: int
-    ones: int = field(init=False)
+    _fields = ("value", "nbits", "ones")
 
-    def __post_init__(self) -> None:
-        if self.nbits < 1:
-            raise InvalidLength(f"bit length must be >= 1, got {self.nbits}")
-        if self.value < 0 or self.value.bit_length() > self.nbits:
+    def __init__(self, value: int, nbits: int) -> None:
+        if nbits < 1:
+            raise InvalidLength(f"bit length must be >= 1, got {nbits}")
+        if value < 0 or value.bit_length() > nbits:
             raise ValueError("value has bits set beyond nbits")
-        object.__setattr__(self, "ones", self.value.bit_count())
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "nbits", nbits)
+        object.__setattr__(self, "ones", value.bit_count())
 
     def bit(self, i: int) -> int:
         """Bit at reading position ``i`` (0 = first bit of the stream)."""

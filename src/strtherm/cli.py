@@ -8,14 +8,12 @@ operations, so its numbers are exactly the library's numbers.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import sys
-from dataclasses import dataclass
 
 from . import bitstring, ensemble, equilibrium, thermo
+from ._record import Record
 from .errors import EmptyInput, InvalidLength
 
 REPORT_VERSION = 1
@@ -28,21 +26,36 @@ _BIT_ORDERS = {"msb": bitstring.MSB_FIRST, "lsb": bitstring.LSB_FIRST}
 _PERIODIC_PATTERN = b"\x6a\xc5\x3b\x91"
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Record):
     """Everything one analysis run depends on."""
 
-    inputs: tuple[str, ...]
-    bit_order: str = bitstring.MSB_FIRST
-    max_bits: int | None = None
-    ensemble_size: int | None = None
+    _fields = ("inputs", "bit_order", "max_bits", "ensemble_size")
+
+    def __init__(
+        self,
+        inputs: tuple[str, ...],
+        bit_order: str = bitstring.MSB_FIRST,
+        max_bits: int | None = None,
+        ensemble_size: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "bit_order", bit_order)
+        object.__setattr__(self, "max_bits", max_bits)
+        object.__setattr__(self, "ensemble_size", ensemble_size)
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
-    hist: ensemble.Histogram
-    model: equilibrium.EquilibriumModel
-    report: thermo.ThermoReport
+class AnalysisResult(Record):
+    _fields = ("hist", "model", "report")
+
+    def __init__(
+        self,
+        hist: ensemble.Histogram,
+        model: equilibrium.EquilibriumModel,
+        report: thermo.ThermoReport,
+    ) -> None:
+        object.__setattr__(self, "hist", hist)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "report", report)
 
 
 def _load(path: str, bit_order: str, max_bits: int | None) -> bitstring.BitString:
@@ -93,6 +106,9 @@ def gen_corpus(kind: str, size_bytes: int, seed: int, out_path: str) -> None:
 
 
 def _analysis_json(config: AnalysisConfig, result: AnalysisResult) -> str:
+    # imported here, so that the human and CSV renderings do not load it
+    import json
+
     r = result.report
     doc = {
         "report_version": REPORT_VERSION,
@@ -173,6 +189,9 @@ def corpus_summary(configs: list[AnalysisConfig]) -> list[dict]:
 
 
 def _summary_csv(rows: list[dict]) -> str:
+    # imported here, so that the other commands do not load it
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SUMMARY_HEADER)

@@ -11,17 +11,13 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from math import gcd, lcm
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
+from ._record import Record
 from .bitstring import BitString
 from .errors import ExactnessCheckFailed, InvalidEnsembleSize
-
-if TYPE_CHECKING:
-    from decimal import Context, Decimal
 
 SELF_MODE = "self"
 PAIR_MODE = "pair"
@@ -78,8 +74,7 @@ _GMP_BITS = 1 << 18
 _SPOT_SHIFTS = 8
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(Record):
     """Distance observations, counted.
 
     ``entries`` holds each distinct distance with the number of the
@@ -89,22 +84,48 @@ class Histogram:
     any observation (2 * min(ones, nbits - ones) in self mode).
     """
 
-    entries: tuple[tuple[int, int], ...]
-    n_obs: int
-    nbits: int
-    max_distance: int
-    mode: str = SELF_MODE
+    _fields = ("entries", "n_obs", "nbits", "max_distance", "mode")
+
+    def __init__(
+        self,
+        entries: tuple[tuple[int, int], ...],
+        n_obs: int,
+        nbits: int,
+        max_distance: int,
+        mode: str = SELF_MODE,
+    ) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n_obs", n_obs)
+        object.__setattr__(self, "nbits", nbits)
+        object.__setattr__(self, "max_distance", max_distance)
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
 class Ensemble(Histogram):
     """The histogram of a shift-XOR ensemble, with the distinct
     observations it was counted from: ``block`` holds their correlations
     C(n), which ``total_ones`` decodes to distances; ``values`` orders
-    them."""
+    them.  Neither takes part in equality, hash or repr: an ensemble
+    compares as its histogram fields do."""
 
-    block: Sequence[int] = field(kw_only=True, repr=False, compare=False)
-    total_ones: int = field(kw_only=True, repr=False, compare=False)
+    def __init__(
+        self,
+        entries: tuple[tuple[int, int], ...],
+        n_obs: int,
+        nbits: int,
+        max_distance: int,
+        mode: str = SELF_MODE,
+        *,
+        block: Sequence[int],
+        total_ones: int,
+    ) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n_obs", n_obs)
+        object.__setattr__(self, "nbits", nbits)
+        object.__setattr__(self, "max_distance", max_distance)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "total_ones", total_ones)
 
     @cached_property
     def values(self) -> tuple[int, ...]:
@@ -385,17 +406,16 @@ def _spot_check(
             )
 
 
-def _folded(
-    planes: list[int], period: int, width: int, reverse: bool, exact: Context
-) -> Decimal:
+def _folded(planes: list[int], period: int, width: int, reverse: bool, exact):
     """The product's operand from a string's count ``planes``: the integer
-    whose ``period`` slots of ``width`` digits hold the set-bit count at
-    each reading position modulo ``period``, position 0 highest, or lowest
-    if ``reverse``, added in the context ``exact``.  Counts wider than a
-    slot carry into the next one, which leaves the integer the same."""
+    ``Decimal`` whose ``period`` slots of ``width`` digits hold the set-bit
+    count at each reading position modulo ``period``, position 0 highest,
+    or lowest if ``reverse``, added in the ``decimal`` context ``exact``.
+    Counts wider than a slot carry into the next one, which leaves the
+    integer the same."""
     step = -1 if reverse else 1
 
-    def slots(plane: int) -> Decimal:
+    def slots(plane: int):
         # repeated in place, with no bytes temporary of the same size:
         # freed temporaries below the slots' decimal would stay resident
         buf = bytearray(b"0") * (width * period)

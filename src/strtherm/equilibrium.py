@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
+from ._record import Record
 from .ensemble import Histogram, ensemble_mean
 from .errors import DegenerateModel
 
 
-@dataclass(frozen=True)
-class EquilibriumModel:
+class EquilibriumModel(Record):
     """Analytic equilibrium parameters for one histogram.
 
     ``correction`` is K = 1 - sqrt(|1 - 2*density|), in [0, 1]; the
@@ -33,15 +32,32 @@ class EquilibriumModel:
     models carry temperature 0 and no curve.
     """
 
-    mean_distance: float
-    density: float
-    correction: float
-    variance: float
-    temperature: float
-    peak_count: float
-    n_obs: int
-    nbits: int
-    degenerate: bool
+    _fields = (
+        "mean_distance", "density", "correction", "variance", "temperature",
+        "peak_count", "n_obs", "nbits", "degenerate",
+    )
+
+    def __init__(
+        self,
+        mean_distance: float,
+        density: float,
+        correction: float,
+        variance: float,
+        temperature: float,
+        peak_count: float,
+        n_obs: int,
+        nbits: int,
+        degenerate: bool,
+    ) -> None:
+        object.__setattr__(self, "mean_distance", mean_distance)
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "correction", correction)
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "peak_count", peak_count)
+        object.__setattr__(self, "n_obs", n_obs)
+        object.__setattr__(self, "nbits", nbits)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def fit(h: Histogram) -> EquilibriumModel:

@@ -16,9 +16,9 @@ convention throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
+from ._record import Record
 from .ensemble import SELF_MODE, Histogram, without_self_match
 from .equilibrium import EquilibriumModel, fit, fit_quality
 from .errors import DegenerateModel
@@ -98,11 +98,9 @@ def equilibrium_entropy(
     return s_thermo_eq, s_micro_eq_per_bit
 
 
-class EnsembleThermo(NamedTuple):
-    entropy_nats: float
-    free_energy: float
-    pressure: float
-    volume: float
+EnsembleThermo = namedtuple(
+    "EnsembleThermo", ("entropy_nats", "free_energy", "pressure", "volume")
+)
 
 
 def ensemble_thermo(n_obs: int, nbits: int, temperature: float) -> EnsembleThermo:
@@ -122,8 +120,7 @@ def ensemble_thermo(n_obs: int, nbits: int, temperature: float) -> EnsembleTherm
     return EnsembleThermo(s_nats, free_energy, pressure, volume)
 
 
-@dataclass(frozen=True)
-class ThermoReport:
+class ThermoReport(Record):
     """Observed and equilibrium thermodynamic quantities for one input.
 
     Equilibrium fields are None for degenerate reports, whose observed
@@ -133,23 +130,50 @@ class ThermoReport:
     microstate bit per particle.
     """
 
-    temperature: float
-    internal_energy: float
-    internal_energy_eq: float | None
-    entropy_thermo: float
-    entropy_thermo_eq: float | None
-    entropy_micro: float
-    entropy_micro_per_bit: float
-    entropy_micro_eq_per_bit: float | None
-    partition_fn: float | None
-    entropy_nats: float | None
-    free_energy: float | None
-    pressure: float | None
-    volume: float
-    degenerate: bool
-    fit_quality: float | None
-    nbits: int
-    n_obs: int
+    _fields = (
+        "temperature", "internal_energy", "internal_energy_eq", "entropy_thermo",
+        "entropy_thermo_eq", "entropy_micro", "entropy_micro_per_bit",
+        "entropy_micro_eq_per_bit", "partition_fn", "entropy_nats", "free_energy",
+        "pressure", "volume", "degenerate", "fit_quality", "nbits", "n_obs",
+    )
+
+    def __init__(
+        self,
+        temperature: float,
+        internal_energy: float,
+        internal_energy_eq: float | None,
+        entropy_thermo: float,
+        entropy_thermo_eq: float | None,
+        entropy_micro: float,
+        entropy_micro_per_bit: float,
+        entropy_micro_eq_per_bit: float | None,
+        partition_fn: float | None,
+        entropy_nats: float | None,
+        free_energy: float | None,
+        pressure: float | None,
+        volume: float,
+        degenerate: bool,
+        fit_quality: float | None,
+        nbits: int,
+        n_obs: int,
+    ) -> None:
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "internal_energy", internal_energy)
+        object.__setattr__(self, "internal_energy_eq", internal_energy_eq)
+        object.__setattr__(self, "entropy_thermo", entropy_thermo)
+        object.__setattr__(self, "entropy_thermo_eq", entropy_thermo_eq)
+        object.__setattr__(self, "entropy_micro", entropy_micro)
+        object.__setattr__(self, "entropy_micro_per_bit", entropy_micro_per_bit)
+        object.__setattr__(self, "entropy_micro_eq_per_bit", entropy_micro_eq_per_bit)
+        object.__setattr__(self, "partition_fn", partition_fn)
+        object.__setattr__(self, "entropy_nats", entropy_nats)
+        object.__setattr__(self, "free_energy", free_energy)
+        object.__setattr__(self, "pressure", pressure)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "degenerate", degenerate)
+        object.__setattr__(self, "fit_quality", fit_quality)
+        object.__setattr__(self, "nbits", nbits)
+        object.__setattr__(self, "n_obs", n_obs)
 
 
 def build_report(h: Histogram, model: EquilibriumModel | None = None) -> ThermoReport:
@@ -201,15 +225,9 @@ def build_report(h: Histogram, model: EquilibriumModel | None = None) -> ThermoR
     )
 
 
-class ReportField(NamedTuple):
-    """One report quantity: wire key, ``ThermoReport`` attribute, human
-    label and unit, and whether batch summaries carry it."""
-
-    key: str
-    attr: str
-    label: str
-    unit: str
-    in_summary: bool
+# one report quantity: wire key, ``ThermoReport`` attribute, human label
+# and unit, and whether batch summaries carry it
+ReportField = namedtuple("ReportField", ("key", "attr", "label", "unit", "in_summary"))
 
 
 # the one field table, in stable wire order; JSON, both CSVs and both

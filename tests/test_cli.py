@@ -1,5 +1,5 @@
 import csv
-import dataclasses
+import inspect
 import io
 import json
 import os
@@ -92,15 +92,33 @@ class TestAnalyze:
         assert doc["report"]["u_bar"] == pytest.approx(0.5)
         assert doc["report"]["t"] == pytest.approx(0.25)
 
+    def test_human_analysis_loads_no_json_or_csv(self, crafted_file):
+        # -S: a .pth file in site-packages may import either before the
+        # script runs
+        script = (
+            "import sys\n"
+            "from strtherm import cli\n"
+            "assert cli.main(['analyze', sys.argv[1], '--format', 'human']) == 0\n"
+            "assert not {'json', 'csv'} & set(sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(st.__file__).parents[1])}
+        subprocess.run([sys.executable, "-S", "-c", script, crafted_file],
+                       check=True, env=env, stdout=subprocess.DEVNULL)
+
     def test_nan_report_is_not_printed(
         self, crafted_file, tmp_path, monkeypatch, capsys
     ):
         build = st.thermo.build_report
-        monkeypatch.setattr(
-            st.thermo,
-            "build_report",
-            lambda h, m: dataclasses.replace(build(h, m), temperature=float("nan")),
-        )
+
+        def nan_report(h, m):
+            # the built report, through ThermoReport's own constructor, with
+            # a temperature no JSON may hold
+            report = build(h, m)
+            names = inspect.signature(st.ThermoReport).parameters
+            values = {name: getattr(report, name) for name in names}
+            return st.ThermoReport(**{**values, "temperature": float("nan")})
+
+        monkeypatch.setattr(st.thermo, "build_report", nan_report)
         hist_path = tmp_path / "dots.csv"
         rc = main(["analyze", crafted_file, "--bits", "4", "--format", "json",
                    "--emit-histogram", str(hist_path)])

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import itertools
 import json
 import os
@@ -295,8 +296,26 @@ ONE_TYPE_BUILDS = pytest.mark.parametrize(
 
 class TestOneType:
     def test_ensemble_declares_only_its_provenance(self):
+        # an Ensemble compares the fields a Histogram does, and its
+        # constructor adds only the keyword-only block and total_ones
         assert issubclass(Ensemble, Histogram)
-        assert set(Ensemble.__annotations__) == {"block", "total_ones"}
+        fields = (((0, 1), (2, 3)), 4, 4, 2, "self")
+        e = Ensemble(*fields, block=(2, 1, 2), total_ones=4)
+        assert e == Ensemble(*fields, block=(0, 1), total_ones=6)
+        assert histogram_fields(e) == fields
+        for i, other in enumerate((((2, 4),), 3, 5, 4, "pair")):
+            changed = fields[:i] + (other,) + fields[i + 1:]
+            assert e != Ensemble(*changed, block=(2, 1, 2), total_ones=4)
+
+        def params(cls):
+            return [(p.name, p.kind, p.default)
+                    for p in inspect.signature(cls).parameters.values()]
+
+        keyword = inspect.Parameter.KEYWORD_ONLY
+        empty = inspect.Parameter.empty
+        assert params(Ensemble) == params(Histogram) + [
+            ("block", keyword, empty), ("total_ones", keyword, empty)
+        ]
 
     @ONE_TYPE_BUILDS
     def test_ensemble_is_its_histogram(self, build):
@@ -1430,13 +1449,16 @@ class TestEngines:
     def test_gmp_is_loaded_only_for_a_product(self):
         # -S: a .pth file in site-packages (certifi's, for one) may import
         # random before the script runs.  The command line loads none of
-        # ctypes, decimal or random; a partial build on the loop loads no
-        # ctypes, and a full build loads decimal only where GMP does not
-        # serve
+        # ctypes, decimal or random, nor dataclasses with its inspect tree,
+        # typing, or the csv and json of the renderings that need them; a
+        # partial build on the loop loads no ctypes, and a full build loads
+        # decimal only where GMP does not serve
         script = (
             "import sys\n"
             "import strtherm.cli\n"
-            "assert not {'ctypes', 'decimal', 'random'} & set(sys.modules)\n"
+            "unused = {'ctypes', 'decimal', 'random', 'dataclasses', 'inspect',\n"
+            "          'typing', 'csv', 'json'}\n"
+            "assert not unused & set(sys.modules), unused & set(sys.modules)\n"
             "from strtherm import ensemble, random_bitstring\n"
             "ensemble.build_self_ensemble(random_bitstring(4096, 0.5, 1), 100)\n"
             "assert 'ctypes' not in sys.modules\n"
