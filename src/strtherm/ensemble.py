@@ -535,11 +535,16 @@ def without_self_match(h: Histogram) -> Histogram:
     return Histogram(entries, h.n_obs - 1, h.nbits, h.max_distance, h.mode)
 
 
-def ensemble_mean(h: Histogram) -> float:
-    """Average observed distance, sum(count * distance) / n_obs."""
+def observations(h: Histogram) -> int:
+    """``h.n_obs``; raise unless ``h`` holds an observation to average."""
     if h.n_obs < 1:
         raise InvalidEnsembleSize("histogram has no observations")
-    return sum(c * n for c, n in h.entries) / h.n_obs
+    return h.n_obs
+
+
+def ensemble_mean(h: Histogram) -> float:
+    """Average observed distance, sum(count * distance) / n_obs."""
+    return sum(c * n for c, n in h.entries) / observations(h)
 
 
 def histogram_to_csv(h: Histogram) -> str:

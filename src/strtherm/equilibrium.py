@@ -17,7 +17,7 @@ import math
 from collections.abc import Callable
 
 from ._record import Record
-from .ensemble import Histogram, ensemble_mean
+from .ensemble import Histogram, ensemble_mean, observations
 from .errors import DegenerateModel
 
 
@@ -155,6 +155,7 @@ def fit_quality(h: Histogram, m: EquilibriumModel) -> float:
     dominate) and divided by the peak count; 0 means a perfect match,
     random-like inputs stay well below structured ones.
     """
+    observations(h)
     mean, peak, spread = _normal_terms(m)
     total = 0.0
     for c, count in h.entries:

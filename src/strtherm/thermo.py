@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 
 from ._record import Record
-from .ensemble import SELF_MODE, Histogram, without_self_match
+from .ensemble import SELF_MODE, Histogram, observations, without_self_match
 from .equilibrium import EquilibriumModel, fit, fit_quality
 from .errors import DegenerateModel
 
@@ -38,12 +38,13 @@ def internal_energy(h: Histogram, mean_distance: float) -> float:
     Each entry's term is ``energy_level``'s, with twice the mass
     computed once.
     """
+    n = observations(h)
     mass2 = 2.0 * h.nbits
     total = 0.0
     for c, count in h.entries:
         p = c - mean_distance
         total += count * ((p * p) / mass2)
-    return total / h.n_obs
+    return total / n
 
 
 def entropy(h: Histogram) -> tuple[float, float]:
@@ -55,7 +56,7 @@ def entropy(h: Histogram) -> tuple[float, float]:
     that realize the same distance.  Their sum is the total entropy
     log2(Omega) / n_obs.
     """
-    n = h.n_obs
+    n = observations(h)
     m = h.nbits
     log_m = math.lgamma(m + 1)
     occupation = math.lgamma(n + 1)

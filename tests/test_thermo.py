@@ -23,7 +23,7 @@ from strtherm.equilibrium import (
     fit_quality,
     normal_counts,
 )
-from strtherm.errors import DegenerateModel
+from strtherm.errors import DegenerateModel, InvalidEnsembleSize
 from strtherm.thermo import (
     build_report,
     energy_level,
@@ -327,6 +327,19 @@ class TestBuildReport:
         assert r.degenerate
         assert r.internal_energy == 0.0
         assert r.entropy_micro == 1.0
+
+    @pytest.mark.parametrize("observe", [
+        lambda h: internal_energy(h, 2.0),
+        entropy,
+        lambda h: fit_quality(h, fit_from_mean(2.0, 4, 1)),
+    ], ids=["internal_energy", "entropy", "fit_quality"])
+    def test_no_observations(self, observe):
+        # one self shift without its self-match: a histogram the library
+        # builds, with nothing to average over
+        h = without_self_match(histogram(build_self_ensemble(from_bits("0110"), 1)))
+        assert h.n_obs == 0
+        with pytest.raises(InvalidEnsembleSize, match="no observations"):
+            observe(h)
 
     @pytest.mark.parametrize("h", [
         full_histogram(from_bits("0" * 64)),
