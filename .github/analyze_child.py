@@ -1,7 +1,7 @@
 """Run `strtherm analyze` as a child under `timeout`, write its JSON report
-and fail unless the report has the expected `n_obs` and, with
---max-rss-mib, the child's peak RSS stays under that bound; on success,
-print that peak in MiB.
+and fail unless the report parses as strict JSON (no NaN or Infinity),
+has the expected `n_obs` and, with --max-rss-mib, the child's peak RSS
+stays under that bound; on success, print that peak in MiB.
 
     python .github/analyze_child.py --seconds S --n-obs N [--max-rss-mib M] \
         --out REPORT.json -- FILE [ANALYZE OPTIONS ...]
@@ -15,6 +15,11 @@ import json
 import resource
 import subprocess
 import sys
+
+
+def reject(token):
+    sys.exit(f"non-finite number {token} in the report")
+
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--seconds", type=int, required=True)
@@ -34,7 +39,7 @@ peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 if args.max_rss_mib is not None and peak_mib >= args.max_rss_mib:
     sys.exit(f"peak RSS {peak_mib:.1f} MiB, not under {args.max_rss_mib:g} MiB")
 with open(args.out) as f:
-    n_obs = json.load(f)["n_obs"]
+    n_obs = json.load(f, parse_constant=reject)["n_obs"]
 if n_obs != args.n_obs:
     sys.exit(f"n_obs {n_obs} != {args.n_obs}")
 print(f"{peak_mib:.2f}")

@@ -35,9 +35,7 @@ class BitString(Record):
             raise InvalidLength(f"bit length must be >= 1, got {nbits}")
         if value < 0 or value.bit_length() > nbits:
             raise ValueError("value has bits set beyond nbits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "nbits", nbits)
-        object.__setattr__(self, "ones", value.bit_count())
+        self.__dict__.update(value=value, nbits=nbits, ones=value.bit_count())
 
     def bit(self, i: int) -> int:
         """Bit at reading position ``i`` (0 = first bit of the stream)."""
@@ -83,10 +81,9 @@ def truncate(b: BitString, nbits: int) -> BitString:
     drop = b.nbits - nbits
     # the kept bits' count is b's less that of the dropped low bits, so
     # the kept bits are not counted again
+    ones = b.ones - (b.value & ((1 << drop) - 1)).bit_count()
     kept = object.__new__(BitString)
-    object.__setattr__(kept, "value", b.value >> drop)
-    object.__setattr__(kept, "nbits", nbits)
-    object.__setattr__(kept, "ones", b.ones - (b.value & ((1 << drop) - 1)).bit_count())
+    kept.__dict__.update(value=b.value >> drop, nbits=nbits, ones=ones)
     return kept
 
 

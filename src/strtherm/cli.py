@@ -29,8 +29,6 @@ _PERIODIC_PATTERN = b"\x6a\xc5\x3b\x91"
 class AnalysisConfig(Record):
     """Everything one analysis run depends on."""
 
-    _fields = ("inputs", "bit_order", "max_bits", "ensemble_size")
-
     def __init__(
         self,
         inputs: tuple[str, ...],
@@ -38,24 +36,17 @@ class AnalysisConfig(Record):
         max_bits: int | None = None,
         ensemble_size: int | None = None,
     ) -> None:
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "bit_order", bit_order)
-        object.__setattr__(self, "max_bits", max_bits)
-        object.__setattr__(self, "ensemble_size", ensemble_size)
+        self._set(locals())
 
 
 class AnalysisResult(Record):
-    _fields = ("hist", "model", "report")
-
     def __init__(
         self,
         hist: ensemble.Histogram,
         model: equilibrium.EquilibriumModel,
         report: thermo.ThermoReport,
     ) -> None:
-        object.__setattr__(self, "hist", hist)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "report", report)
+        self._set(locals())
 
 
 def _load(path: str, bit_order: str, max_bits: int | None) -> bitstring.BitString:

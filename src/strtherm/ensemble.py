@@ -84,8 +84,6 @@ class Histogram(Record):
     any observation (2 * min(ones, nbits - ones) in self mode).
     """
 
-    _fields = ("entries", "n_obs", "nbits", "max_distance", "mode")
-
     def __init__(
         self,
         entries: tuple[tuple[int, int], ...],
@@ -94,11 +92,7 @@ class Histogram(Record):
         max_distance: int,
         mode: str = SELF_MODE,
     ) -> None:
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n_obs", n_obs)
-        object.__setattr__(self, "nbits", nbits)
-        object.__setattr__(self, "max_distance", max_distance)
-        object.__setattr__(self, "mode", mode)
+        self._set(locals())
 
 
 class Ensemble(Histogram):
@@ -119,13 +113,17 @@ class Ensemble(Histogram):
         block: Sequence[int],
         total_ones: int,
     ) -> None:
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n_obs", n_obs)
-        object.__setattr__(self, "nbits", nbits)
-        object.__setattr__(self, "max_distance", max_distance)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "total_ones", total_ones)
+        self._set(locals())
+
+    def __getstate__(self) -> dict:
+        # a product's block is a memoryview of its cells, which pickle and
+        # deepcopy refuse: a copy, and only a copy, takes them as an array
+        if not isinstance(self.block, memoryview):
+            return self.__dict__
+        from array import array
+
+        cells = array(self.block.format, self.block.tobytes())
+        return {**self.__dict__, "block": cells}
 
     @cached_property
     def values(self) -> tuple[int, ...]:

@@ -32,11 +32,6 @@ class EquilibriumModel(Record):
     models carry temperature 0 and no curve.
     """
 
-    _fields = (
-        "mean_distance", "density", "correction", "variance", "temperature",
-        "peak_count", "n_obs", "nbits", "degenerate",
-    )
-
     def __init__(
         self,
         mean_distance: float,
@@ -49,15 +44,7 @@ class EquilibriumModel(Record):
         nbits: int,
         degenerate: bool,
     ) -> None:
-        object.__setattr__(self, "mean_distance", mean_distance)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "correction", correction)
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(self, "peak_count", peak_count)
-        object.__setattr__(self, "n_obs", n_obs)
-        object.__setattr__(self, "nbits", nbits)
-        object.__setattr__(self, "degenerate", degenerate)
+        self._set(locals())
 
 
 def fit(h: Histogram) -> EquilibriumModel:

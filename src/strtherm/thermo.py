@@ -131,13 +131,6 @@ class ThermoReport(Record):
     microstate bit per particle.
     """
 
-    _fields = (
-        "temperature", "internal_energy", "internal_energy_eq", "entropy_thermo",
-        "entropy_thermo_eq", "entropy_micro", "entropy_micro_per_bit",
-        "entropy_micro_eq_per_bit", "partition_fn", "entropy_nats", "free_energy",
-        "pressure", "volume", "degenerate", "fit_quality", "nbits", "n_obs",
-    )
-
     def __init__(
         self,
         temperature: float,
@@ -158,23 +151,7 @@ class ThermoReport(Record):
         nbits: int,
         n_obs: int,
     ) -> None:
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(self, "internal_energy", internal_energy)
-        object.__setattr__(self, "internal_energy_eq", internal_energy_eq)
-        object.__setattr__(self, "entropy_thermo", entropy_thermo)
-        object.__setattr__(self, "entropy_thermo_eq", entropy_thermo_eq)
-        object.__setattr__(self, "entropy_micro", entropy_micro)
-        object.__setattr__(self, "entropy_micro_per_bit", entropy_micro_per_bit)
-        object.__setattr__(self, "entropy_micro_eq_per_bit", entropy_micro_eq_per_bit)
-        object.__setattr__(self, "partition_fn", partition_fn)
-        object.__setattr__(self, "entropy_nats", entropy_nats)
-        object.__setattr__(self, "free_energy", free_energy)
-        object.__setattr__(self, "pressure", pressure)
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "degenerate", degenerate)
-        object.__setattr__(self, "fit_quality", fit_quality)
-        object.__setattr__(self, "nbits", nbits)
-        object.__setattr__(self, "n_obs", n_obs)
+        self._set(locals())
 
 
 def build_report(h: Histogram, model: EquilibriumModel | None = None) -> ThermoReport:

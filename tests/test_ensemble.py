@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from engines import gmp_window
+from engines import gmp_window, hidden_ctypes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1361,9 +1361,9 @@ class TestEngines:
 
         with forced("product"):
             want = built(ENGINE_BUILDS)
+        load = ensemble._load_gmp.__wrapped__
         if failure == "ImportError":
-            monkeypatch.delitem(sys.modules, "strtherm._gmp", raising=False)
-            monkeypatch.setitem(sys.modules, "ctypes", None)
+            hidden_ctypes(monkeypatch)
         elif failure == "OSError":
 
             def cannot_open(name):
@@ -1376,7 +1376,6 @@ class TestEngines:
             monkeypatch.setattr(_gmp, "_limb_bits", lambda lib: 32)
         else:
             monkeypatch.setattr(_gmp, "_version", lambda lib: "5.1.3")
-        load = ensemble._load_gmp.__wrapped__
         assert load() is None
         with forced("product"), mock.patch.object(
             ensemble, "_load_gmp", load
@@ -1807,7 +1806,7 @@ class TestCyclicProduct:
             "6.0.0",
         ],
     )
-    def test_loader_falls_back_to_mpz_mul(self, missing, version, monkeypatch):
+    def test_loader_falls_back_to_decimal(self, missing, version, monkeypatch):
         # the system libgmp, a cyclic function hidden or its version
         # relabelled: without the cyclic product, or not GMP 6, it is not
         # used and the product falls back to decimal.  Labelled 6.0.0 it

@@ -32,9 +32,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from engines import gmp_window
+from engines import gmp_window, hidden_ctypes
 
-from strtherm import ensemble
 from strtherm.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -169,17 +168,6 @@ def inputs(tmp_path_factory):
     return directory
 
 
-@contextlib.contextmanager
-def hidden_ctypes(monkeypatch):
-    """No ``ctypes``, so no libgmp: the product runs on ``decimal`` and
-    the shifts on Python ints."""
-    monkeypatch.setitem(sys.modules, "ctypes", None)
-    monkeypatch.delitem(sys.modules, "strtherm._gmp", raising=False)
-    monkeypatch.setattr(ensemble, "_load_gmp", ensemble._load_gmp.__wrapped__)
-    assert ensemble._load_gmp() is None
-    yield
-
-
 def cpus(count):
     """GMP's shift kernel on ``count`` threads, which ``_plan`` takes
     from the CPUs in the affinity mask."""
@@ -187,13 +175,13 @@ def cpus(count):
     def affinity(monkeypatch):
         mask = set(range(count))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
-        return contextlib.nullcontext()
 
     return affinity
 
 
+# each engine patches through monkeypatch, or returns the context it runs in
 ENGINES = {
-    "default": lambda monkeypatch: contextlib.nullcontext(),
+    "default": lambda monkeypatch: None,
     "gmp window": lambda monkeypatch: gmp_window(),
     "ctypes hidden": hidden_ctypes,
     "one worker": cpus(1),
@@ -213,7 +201,7 @@ def test_output_bytes(case, engine, inputs, monkeypatch):
     monkeypatch.chdir(inputs)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     digests = json.loads(DIGESTS.read_text())
-    with ENGINES[engine](monkeypatch):
+    with ENGINES[engine](monkeypatch) or contextlib.nullcontext():
         assert run(CASES[case][0]) == digests[case]
 
 

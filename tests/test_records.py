@@ -1,16 +1,25 @@
 """The record types' value behaviour: repr, equality, hashing, immutability,
-construction, pickling and copying."""
+construction, pickling and copying, and the rule that names their fields."""
 
+import contextlib
 import copy
 import inspect
 import pickle
+import random
 
 import pytest
+from engines import gmp_window
 
 from strtherm import ensemble
-from strtherm.bitstring import BitString
+from strtherm._record import Record
+from strtherm.bitstring import BitString, from_bytes
 from strtherm.cli import AnalysisConfig, AnalysisResult
-from strtherm.ensemble import Ensemble, Histogram
+from strtherm.ensemble import (
+    Ensemble,
+    Histogram,
+    build_pair_ensemble,
+    build_self_ensemble,
+)
 from strtherm.equilibrium import EquilibriumModel
 from strtherm.errors import InvalidLength
 from strtherm.thermo import ThermoReport
@@ -160,6 +169,29 @@ def test_copies_keep_ensemble_provenance():
         assert twin.values == e.values
 
 
+def random_bytes(seed, size):
+    return from_bytes(random.Random(seed).randbytes(size))
+
+
+FULL_BUILDS = {
+    "self": lambda: build_self_ensemble(random_bytes(1, 1024)),
+    "pair": lambda: build_pair_ensemble(random_bytes(1, 1024), random_bytes(2, 1536)),
+}
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["default", "gmp window"])
+@pytest.mark.parametrize("build", list(FULL_BUILDS))
+def test_full_ensembles_pickle_and_deep_copy(build, window):
+    # a full build's block is the product's cells, a memoryview
+    with gmp_window() if window else contextlib.nullcontext():
+        e = FULL_BUILDS[build]()
+    assert isinstance(e.block, memoryview)
+    for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert type(twin) is Ensemble and twin == e
+        assert list(twin.block) == list(e.block)
+        assert twin.values == e.values
+
+
 def params(cls):
     return [(p.name, p.kind, p.default)
             for p in inspect.signature(cls).parameters.values()]
@@ -259,3 +291,41 @@ def test_ensemble_values_are_built_once(monkeypatch):
     assert calls == [2, 1, 2]
     assert e.values is first
     assert calls == [2, 1, 2]
+
+
+class Point(Record):
+    def __init__(self, x, y=0, *, label=None):
+        self._set(locals())
+
+
+class Doubled(Record):
+    _fields = ("x", "double")
+
+    def __init__(self, x):
+        self.__dict__.update(x=x, double=2 * x)
+
+
+class TestFieldsRule:
+    def test_positional_parameters_are_the_fields(self):
+        assert Point._fields == ("x", "y")
+        assert repr(Point(1, 2)) == "Point(x=1, y=2)"
+        assert Point(1, 2) == Point(1, y=2) and Point(1, 2) != Point(1, 3)
+        assert Point(1) == Point(1, 0) != Point(2, 0)
+
+    def test_keyword_only_parameters_are_stored_but_not_compared(self):
+        a, b = Point(1, 2, label="a"), Point(1, 2, label="b")
+        assert (a.label, b.label) == ("a", "b")
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Point(x=1, y=2)"
+
+    def test_named_fields_are_kept(self):
+        assert Doubled._fields == ("x", "double")
+        assert repr(Doubled(2)) == "Doubled(x=2, double=4)"
+        assert Doubled(2) != Doubled(3)
+
+    @EACH_RECORD
+    def test_instance_holds_its_fields_only(self, name):
+        make, _, _ = RECORDS[name]
+        r = make()
+        stored = {"block", "total_ones"} if name == "Ensemble" else set()
+        assert set(vars(r)) == set(type(r)._fields) | stored
